@@ -20,12 +20,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool_none_int(text: str):
-    if text.lower() == "none":
-        return None
-    return int(text)
-
-
 def _parse_layer_list(text: str) -> tuple[int, ...]:
     try:
         ids = tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -71,8 +65,7 @@ class RunConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    epochs: int = 38
-    max_steps: int | None = 300
+    max_steps: int = 300
     batch: int = 4
     seed: int = 0
     # probes
@@ -121,7 +114,6 @@ class RunConfig:
             beta1=self.beta1,
             beta2=self.beta2,
             adam_eps=self.adam_eps,
-            epochs=self.epochs,
             max_steps=self.max_steps,
             batch_size=self.batch,
             seed=self.seed if seed is None else seed,
@@ -143,7 +135,6 @@ _PARSERS = {
     "probe_lr": float, "ridge_lambda": float,
     "arch": str, "pooling": str,
     "layer_select": _parse_layer_list,
-    "max_steps": _parse_bool_none_int,
 }
 _KEYS = {f.name for f in fields(RunConfig)}
 
@@ -171,9 +162,6 @@ def _validate(config: RunConfig) -> RunConfig:
                 f"layer_select id {i} out of range for {config.layers} layers")
     if any(b <= a for a, b in zip(config.layer_select, config.layer_select[1:])):
         raise ConfigError(f"layer_select must strictly increase, got {config.layer_select}")
-    if config.arch == "fixed_width" and config.entities not in (3, 5):
-        raise ConfigError(
-            f"fixed_width arch supports 3 or 5 splits, got {config.entities}")
     if config.probe_epochs < 1 or config.retrieval_k < 1:
         raise ConfigError("probe_epochs and retrieval_k must be >= 1")
     return config
@@ -216,7 +204,5 @@ def render_config(config: RunConfig) -> str:
         value = getattr(config, f.name)
         if f.name == "layer_select":
             value = ",".join(str(i) for i in value)
-        elif value is None:
-            value = "none"
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

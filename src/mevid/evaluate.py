@@ -46,7 +46,7 @@ def embed_dataset(model, videos, split_of: dict[str, str]) -> EmbeddedDataset:
     """Run the frozen model over full videos; no gradients are recorded."""
     out = []
     for video in videos:
-        emb = model.embed_video(video).data.copy()
+        emb = model.embed_frames(video.layers, video.timestamps).data.copy()
         out.append(EmbeddedVideo(
             video_id=video.video_id,
             embeddings=emb,

@@ -93,14 +93,8 @@ class Model:
                          / np.sqrt(config.proj_hidden)),
             b2=Parameter("proj.b2", np.zeros(config.proj_dim)),
         )
-        self._check_unique_names()
 
-    def _check_unique_names(self) -> None:
-        names = list(self._named().keys())
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate parameter names in model")
-
-    def _named(self) -> dict[str, Parameter]:
+    def parameters(self) -> dict[str, Parameter]:
         out = {}
         if self.pooling is not None:
             out.update(self.pooling.named())
@@ -110,11 +104,8 @@ class Model:
         out.update(self.projection.named())
         return out
 
-    def parameters(self) -> dict[str, Parameter]:
-        return self._named()
-
     def zero_grads(self) -> None:
-        for p in self._named().values():
+        for p in self.parameters().values():
             p.zero_grad()
 
     def fusion_param_count(self) -> int:
@@ -125,7 +116,7 @@ class Model:
     def extract(self, features: VideoFeatures) -> sp.EntitySet:
         if self.config.arch != "entity":
             raise ValueError("attention extraction requires the entity architecture")
-        return sp.extract_entities(features, self.pooling)
+        return sp.extract_entities_from_arrays(features.layers, self.pooling)
 
     def embed_frames(self, layers: list[np.ndarray], timestamps: np.ndarray) -> Tensor:
         """Pooled per-frame embeddings for raw per-layer [T, S, D] arrays."""
@@ -139,9 +130,6 @@ class Model:
         return tf.pool_output(fused, entities.num_frames, entities.num_entities,
                               self.config.pooling)
 
-    def embed_video(self, features: VideoFeatures) -> Tensor:
-        return self.embed_frames(features.layers, features.timestamps)
-
     def project(self, pooled: Tensor) -> Tensor:
         """Contrastive-loss head; evaluation uses the pooled embeddings."""
         h = T.gelu(T.bias_add(T.matmul(pooled, self.projection.w1), self.projection.b1))
@@ -150,10 +138,10 @@ class Model:
     # -- state --------------------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._named().items()}
+        return {name: p.data.copy() for name, p in self.parameters().items()}
 
     def load_state(self, arrays: dict[str, np.ndarray], dtype=np.float32) -> None:
-        own = self._named()
+        own = self.parameters()
         missing = sorted(set(own) - set(arrays))
         unexpected = sorted(set(arrays) - set(own))
         if missing or unexpected:
@@ -183,7 +171,7 @@ class Model:
         Lets a gradient checker drive the forward pass through its own
         parameter objects; shapes must match the configuration.
         """
-        own = self._named()
+        own = self.parameters()
         if set(own) != set(params):
             raise CheckpointMismatch(
                 f"parameter names differ: missing={sorted(set(own) - set(params))} "
@@ -274,6 +262,8 @@ def load_checkpoint_bytes(raw: bytes) -> dict[str, np.ndarray]:
             raise ValueError(f"truncated checkpoint payload for {name!r}")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
+        if name in arrays:
+            raise ValueError(f"duplicate checkpoint record {name!r}")
         arrays[name] = arr.reshape(dims).copy()
     return arrays
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .evaluate import EmbeddedDataset, embed_dataset, evaluate_model
+from .evaluate import embed_dataset, evaluate_model
 from .features import VideoFeatures, generate_synthetic_dataset, select_layers
 from .model import Model, load_checkpoint_bytes, save_checkpoint_bytes
 from .training import TrainResult, train
@@ -47,11 +47,6 @@ def evaluate_trained(config: RunConfig, model: Model, videos: list[VideoFeatures
                      split_of: dict[str, str]) -> dict[str, float]:
     embedded = embed_dataset(model, videos, split_of)
     return evaluate_model(embedded, config.probe_config())
-
-
-def embed_with_model(model: Model, videos: list[VideoFeatures],
-                     split_of: dict[str, str]) -> EmbeddedDataset:
-    return embed_dataset(model, videos, split_of)
 
 
 # ---------------------------------------------------------------------------

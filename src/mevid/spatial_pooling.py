@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .features import VideoFeatures
 from .tensor import Parameter, Tensor
 
 
@@ -107,17 +106,8 @@ class EntitySet:
         return self.attention[layer].data
 
 
-def extract_entities(features: VideoFeatures, params: PoolingParams) -> EntitySet:
-    """Cross-attend learnable queries over each frame's token grid."""
-    return _extract(features.layers, params)
-
-
 def extract_entities_from_arrays(layers: list[np.ndarray], params: PoolingParams) -> EntitySet:
-    """Same as `extract_entities` for raw per-layer [T, S, D] arrays."""
-    return _extract(layers, params)
-
-
-def _extract(layers: list[np.ndarray], params: PoolingParams) -> EntitySet:
+    """Cross-attend learnable queries over each layer's [T, S, D] token grids."""
     if len(layers) != params.num_layers:
         raise ValueError(
             f"features have {len(layers)} layers, params expect {params.num_layers}"
@@ -146,15 +136,6 @@ def _extract(layers: list[np.ndarray], params: PoolingParams) -> EntitySet:
     flat = T.reshape(stacked, (t * e, stacked.shape[2]))
     out = T.matmul(flat, params.out_proj)                        # [T*E, d_model]
     return EntitySet(features=out, num_frames=t, num_entities=e, attention=maps)
-
-
-def extract_single_entity(features: VideoFeatures, params: PoolingParams) -> EntitySet:
-    """Single-entity variant; identical to `extract_entities` with E = 1."""
-    if params.num_entities != 1:
-        raise ValueError(
-            f"single-entity pooling needs E=1 params, got E={params.num_entities}"
-        )
-    return extract_entities(features, params)
 
 
 # ---------------------------------------------------------------------------

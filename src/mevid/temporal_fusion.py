@@ -27,6 +27,7 @@ from .spatial_pooling import EntitySet
 from .tensor import Parameter, Tensor
 
 POOLING_MODES = ("cls_style", "average")
+POS_RANGE = 32.0  # frame positions are rescaled onto [0, POS_RANGE]
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,10 @@ class FusionConfig:
     mlp_ratio: int = 4
     pooling: str = "cls_style"
     pos_scale: float = 1.0        # amplitude of the sinusoidal frame code
-    pos_range: float = 32.0       # positions are rescaled onto [0, pos_range]
 
     def __post_init__(self):
+        if self.num_entities < 1:
+            raise ValueError(f"need at least one entity, got {self.num_entities}")
         if self.blocks < 1:
             raise ValueError(f"need at least one block, got {self.blocks}")
         if self.model_dim % self.heads != 0:
@@ -83,10 +85,6 @@ class FusionParams:
     blocks: list[BlockParams] = field(default_factory=list)
     final_gamma: Parameter = None
     final_beta: Parameter = None
-
-    @property
-    def dtype(self):
-        return self.input_w.dtype
 
     def named(self) -> dict[str, Parameter]:
         out = {"fusion.input.w": self.input_w, "fusion.input.b": self.input_b}
@@ -155,7 +153,7 @@ def build_frame_tokens(entities: EntitySet, config: FusionConfig,
     token(t, e) = concat(feature(t, e), onehot(e)) + pos(timestamp[t]),
     with the position code shared by a frame's entities and zero on the
     E ID coordinates. Positions are rescaled so the last frame of any
-    sequence sits at `pos_range`; sequences of different lengths then
+    sequence sits at `POS_RANGE`; sequences of different lengths then
     share one code range instead of forcing extrapolation.
     """
     t, e = entities.num_frames, entities.num_entities
@@ -172,7 +170,7 @@ def build_frame_tokens(entities: EntitySet, config: FusionConfig,
 
     ts = np.asarray(timestamps, dtype=np.float64)
     span = float(ts.max()) if t > 1 else 1.0
-    positions = ts * (config.pos_range / max(span, 1.0))
+    positions = ts * (POS_RANGE / max(span, 1.0))
     pos = config.pos_scale * sinusoidal_encoding(positions, config.model_dim, dtype)
     padded = np.zeros((t * e, config.token_dim), dtype=dtype)
     padded[:, : config.model_dim] = np.repeat(pos, e, axis=0)

@@ -32,8 +32,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    epochs: int = 38
-    max_steps: int | None = 300   # hard cap; None runs all epochs
+    max_steps: int = 300          # optimizer steps
     batch_size: int = 4
     seed: int = 0
 
@@ -44,8 +43,8 @@ class TrainConfig:
             raise ValueError("scl_sigma and scl_temperature must be positive")
         if self.lr < 0:
             raise ValueError(f"learning rate must be nonnegative, got {self.lr}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if self.batch_size < 1 or self.max_steps < 0:
+            raise ValueError("batch_size must be >= 1 and max_steps >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +182,10 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
     state = AdamState(params)
 
     trace: list[float] = []
-    step = 0
-    done = False
-    for _ in range(config.epochs):
-        if done:
-            break
+    while len(trace) < config.max_steps:
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), config.batch_size):
-            if config.max_steps is not None and step >= config.max_steps:
-                done = True
+            if len(trace) == config.max_steps:
                 break
             batch = [dataset[i] for i in order[start:start + config.batch_size]]
             seeds = [int(rng.integers(2 ** 63)) for _ in batch]
@@ -206,12 +200,11 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
 
             value = loss.item()
             if not np.isfinite(value):
-                raise TrainingDiverged(f"non-finite loss {value} at step {step}")
+                raise TrainingDiverged(f"non-finite loss {value} at step {len(trace)}")
             model.zero_grads()
             tape.backward(loss)
             adam_step(params, state, config)
             trace.append(value)
-            step += 1
     return TrainResult(model=model, loss_trace=trace)
 
 

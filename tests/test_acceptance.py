@@ -26,7 +26,7 @@ from mevid.features import (
 )
 from mevid.model import Model, ModelConfig
 from mevid.pipeline import dataset_from_config, model_from_checkpoint, run_trials
-from mevid.spatial_pooling import EntitySet, extract_entities, init_pooling_params
+from mevid.spatial_pooling import EntitySet, extract_entities_from_arrays, init_pooling_params
 from mevid.tensor import Tensor, grad_check
 
 SEEDS = [1, 2, 3]
@@ -104,7 +104,7 @@ def test_criterion_2_attention_invariants():
         video_id="v", num_frames=3,
         layers=[rng.standard_normal((3, 16, 8)).astype(np.float32) for _ in range(2)],
         timestamps=np.arange(3))
-    ents = extract_entities(video, params)
+    ents = extract_entities_from_arrays(video.layers, params)
     row_sums_ok = all(
         np.abs(ents.attention_array(l).sum(axis=2) - 1.0).max() < 1e-5
         for l in range(2))
@@ -119,8 +119,8 @@ def test_criterion_2_attention_invariants():
         other.key_proj[l].data = params.key_proj[l].data.copy()
         other.value_proj[l].data = params.value_proj[l].data.copy()
     other.out_proj.data = params.out_proj.data.copy()
-    out_a = extract_entities(degenerate, params).features.data
-    out_b = extract_entities(degenerate, other).features.data
+    out_a = extract_entities_from_arrays(degenerate.layers, params).features.data
+    out_b = extract_entities_from_arrays(degenerate.layers, other).features.data
     collapse_ok = np.abs(out_a - out_b).max() < 1e-5
 
     report(2, "attention rows stochastic; identical tokens erase the queries",

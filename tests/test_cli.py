@@ -26,7 +26,6 @@ mlp_ratio = 2
 proj_hidden = 16
 proj_dim = 16
 view_len = 4
-epochs = 2
 max_steps = 4
 batch = 2
 probe_epochs = 50
@@ -160,15 +159,17 @@ class TestTrials:
 class TestErrors:
     def test_unknown_key_named_and_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("entties = 3\n")
-        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")])
-        assert code == 1
-        assert "entties" in capsys.readouterr().err
+        for key in ("entties", "epochs"):
+            cfg.write_text(f"{key} = 2\n")
+            code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")])
+            assert code == 1
+            assert key in capsys.readouterr().err
 
     def test_bad_value_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("videos = many\n")
-        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        for line in ("videos = many", "max_steps = none", "max_steps = -3", "entities = 0"):
+            cfg.write_text(line + "\n")
+            assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         assert main(["gen", "--config", str(tmp_path / "none.cfg"),

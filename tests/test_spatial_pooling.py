@@ -20,7 +20,7 @@ def make_params(rng, layers=2, d=8, e=2, d_q=4, d_v=4, d_model=6):
 class TestExtractEntities:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        ents = sp.extract_entities(make_features(rng), make_params(rng))
+        ents = sp.extract_entities_from_arrays(make_features(rng).layers, make_params(rng))
         for layer in range(2):
             att = ents.attention_array(layer)
             assert np.abs(att.sum(axis=2) - 1.0).max() < 1e-5
@@ -41,8 +41,8 @@ class TestExtractEntities:
             params_b.value_proj[l].data = params_a.value_proj[l].data.copy()
         params_b.out_proj.data = params_a.out_proj.data.copy()
 
-        out_a = sp.extract_entities(video, params_a).features.data
-        out_b = sp.extract_entities(video, params_b).features.data
+        out_a = sp.extract_entities_from_arrays(video.layers, params_a).features.data
+        out_b = sp.extract_entities_from_arrays(video.layers, params_b).features.data
         assert np.abs(out_a - out_b).max() < 1e-5
 
         # and the value equals the token's projections pushed through out_proj
@@ -66,7 +66,7 @@ class TestExtractEntities:
             tokens[0, j] = basis[:, (j - 1) % 3]
         video = VideoFeatures(video_id="v", num_frames=1, layers=[tokens],
                               timestamps=np.arange(1))
-        ents = sp.extract_entities(video, params)
+        ents = sp.extract_entities_from_arrays(video.layers, params)
         expected = (tokens[0, 0] @ params.value_proj[0].data) @ params.out_proj.data
         assert np.abs(ents.features.data[0] - expected).max() < 1e-4
 
@@ -76,7 +76,7 @@ class TestExtractEntities:
         layers = [np.concatenate([frame, frame], axis=0) for _ in range(2)]
         video = VideoFeatures(video_id="v", num_frames=2, layers=layers,
                               timestamps=np.arange(2))
-        ents = sp.extract_entities(video, make_params(rng))
+        ents = sp.extract_entities_from_arrays(video.layers, make_params(rng))
         e = ents.num_entities
         assert np.array_equal(ents.features.data[:e], ents.features.data[e:])
 
@@ -89,8 +89,8 @@ class TestExtractEntities:
             video_id="v", num_frames=2,
             layers=[layer[:, perm] for layer in video.layers],
             timestamps=np.arange(2))
-        base = sp.extract_entities(video, params)
-        swapped = sp.extract_entities(permuted, params)
+        base = sp.extract_entities_from_arrays(video.layers, params)
+        swapped = sp.extract_entities_from_arrays(permuted.layers, params)
         assert np.abs(base.features.data - swapped.features.data).max() < 1e-6
         for layer in range(2):
             att_a = base.attention_array(layer)[:, :, perm]
@@ -107,7 +107,7 @@ class TestExtractEntities:
                                   layers=[grids.astype(np.float32)],
                                   timestamps=np.arange(3))
             params = sp.init_pooling_params(rng, 1, d, 3, 8, 8, 8)
-            ents = sp.extract_entities(video, params)
+            ents = sp.extract_entities_from_arrays(video.layers, params)
             assert ents.attention_array(0).max() < 0.9
 
     def test_gradients(self):
@@ -122,7 +122,7 @@ class TestExtractEntities:
                 key_proj=[p[f"pool.layer{l}.key_proj"] for l in range(2)],
                 value_proj=[p[f"pool.layer{l}.value_proj"] for l in range(2)],
                 out_proj=p["pool.out_proj"])
-            out = sp.extract_entities(video, rebuilt)
+            out = sp.extract_entities_from_arrays(video.layers, rebuilt)
             from mevid import tensor as T
             return T.sum_all(T.mul(out.features, out.features))
 
@@ -133,24 +133,13 @@ class TestExtractEntities:
         rng = np.random.default_rng(8)
         video = make_features(rng, layers=1)
         with pytest.raises(ValueError, match="layers"):
-            sp.extract_entities(video, make_params(rng, layers=2))
+            sp.extract_entities_from_arrays(video.layers, make_params(rng, layers=2))
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(9)
         video = make_features(rng, d=6)
         with pytest.raises(ValueError, match="channels"):
-            sp.extract_entities(video, make_params(rng, d=8))
-
-    def test_single_entity_variant(self):
-        rng = np.random.default_rng(10)
-        video = make_features(rng)
-        params = make_params(np.random.default_rng(11), e=1)
-        a = sp.extract_single_entity(video, params)
-        b = sp.extract_entities(video, params)
-        assert np.array_equal(a.features.data, b.features.data)
-        assert a.num_entities == 1
-        with pytest.raises(ValueError, match="E=1"):
-            sp.extract_single_entity(video, make_params(np.random.default_rng(12), e=2))
+            sp.extract_entities_from_arrays(video.layers, make_params(rng, d=8))
 
     def test_single_entity_gradients(self):
         rng = np.random.default_rng(13)
@@ -163,7 +152,7 @@ class TestExtractEntities:
                 key_proj=[p["pool.layer0.key_proj"]],
                 value_proj=[p["pool.layer0.value_proj"]],
                 out_proj=p["pool.out_proj"])
-            out = sp.extract_single_entity(video, rebuilt)
+            out = sp.extract_entities_from_arrays(video.layers, rebuilt)
             from mevid import tensor as T
             return T.sum_all(T.mul(out.features, out.features))
 
@@ -211,7 +200,7 @@ class TestAttentionExport:
     def test_attention_map_from_entity_set(self):
         rng = np.random.default_rng(1)
         video = make_features(rng, s=16)
-        ents = sp.extract_entities(video, make_params(rng))
+        ents = sp.extract_entities_from_arrays(video.layers, make_params(rng))
         amap = sp.attention_map(ents, frame=1, entity=0, layer=1, grid_side=4)
         assert amap.values.shape == (4, 4)
         assert abs(amap.values.sum() - 1.0) < 1e-5

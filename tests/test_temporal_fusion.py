@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,14 @@ class TestDeterminismAndCheckpoint:
         raw = save_checkpoint_bytes(self._model())
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint_bytes(raw[: len(raw) - 3])
+
+    def test_checkpoint_duplicate_record_rejected(self):
+        raw = save_checkpoint_bytes(self._model())
+        record = (struct.pack("<I", 7) + b"proj.b2" + struct.pack("<II", 1, 8)
+                  + np.ones(8, dtype="<f4").tobytes())
+        load_checkpoint_bytes(raw)
+        with pytest.raises(ValueError, match="duplicate.*proj.b2"):
+            load_checkpoint_bytes(raw + record)
 
     def test_load_state_mismatch_names_the_problem(self):
         model = self._model()

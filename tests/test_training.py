@@ -6,7 +6,8 @@ import pytest
 from mevid import training as tr
 from mevid.features import SyntheticSpec, generate_synthetic_dataset
 from mevid.model import Model, ModelConfig, save_checkpoint_bytes
-from mevid.pipeline import SeedOutcome, aggregate_trials
+from mevid.config import parse_config_text
+from mevid.pipeline import SeedOutcome, aggregate_trials, dataset_from_config, run_single
 from mevid.tensor import Parameter, Tensor
 
 SPEC = SyntheticSpec(num_videos=4, frames_per_video=16, grid_side=4, channels=8,
@@ -18,7 +19,7 @@ MODEL = ModelConfig(num_entities=2, num_layers=2, channels=8, query_dim=4,
 
 
 def small_train_config(**over):
-    base = dict(view_len=4, epochs=2, max_steps=None, batch_size=2, seed=9)
+    base = dict(view_len=4, max_steps=4, batch_size=2, seed=9)
     base.update(over)
     return tr.TrainConfig(**base)
 
@@ -185,7 +186,7 @@ class TestTrainLoop:
 
     def test_loss_trace_finite_and_counted(self):
         data = generate_synthetic_dataset(SPEC)
-        config = small_train_config(epochs=3, max_steps=5)  # 6 steps capped at 5
+        config = small_train_config(max_steps=5)  # stops mid-pass
         result = tr.train(data, MODEL, config)
         assert len(result.loss_trace) == 5
         assert all(np.isfinite(v) for v in result.loss_trace)
@@ -219,6 +220,23 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             tr.train([], MODEL, small_train_config())
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            small_train_config(max_steps=-3)
+
+    def test_fixed_width_trains_with_any_split_count(self):
+        for splits in (2, 4):
+            config = parse_config_text(
+                "videos = 6\nframes = 16\ngrid = 4\nchannels = 8\nphases = 3\n"
+                "layers = 2\npatch = 2\nlayer_select = 0,1\nquery_dim = 8\n"
+                "value_dim = 8\nmodel_dim = 16\nheads = 2\nmlp_ratio = 2\n"
+                "proj_hidden = 16\nproj_dim = 16\nview_len = 4\nmax_steps = 4\n"
+                f"batch = 2\nprobe_epochs = 50\narch = fixed_width\nentities = {splits}\n")
+            videos, split_of = dataset_from_config(config)
+            outcome = run_single(config, videos, split_of, seed=1)
+            assert len(outcome.loss_trace) == 4
+            assert all(np.isfinite(v) for v in outcome.loss_trace)
 
     def test_trace_format(self):
         text = tr.format_loss_trace([0.123456789, 2.0])
