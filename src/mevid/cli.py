@@ -11,12 +11,13 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import pipeline
-from .config import ConfigError, RunConfig, load_config, render_config
+from .config import ConfigError, RunConfig, _validate, load_config, render_config
 from .features import generate_synthetic_dataset, load_mvff, select_layers, write_mvff
 from .model import save_checkpoint
 from .spatial_pooling import attention_map, export_attention
@@ -86,7 +87,7 @@ def _load_data_dir(data_dir: str):
 
 def _cmd_gen(args, config: RunConfig) -> int:
     if args.seed is not None:
-        config = RunConfig(**{**config.__dict__, "data_seed": args.seed})
+        config = _validate(dataclasses.replace(config, data_seed=args.seed))
     _echo_config(config)
     os.makedirs(args.out, exist_ok=True)
     videos = generate_synthetic_dataset(config.synthetic_spec())
@@ -109,7 +110,7 @@ def _cmd_gen(args, config: RunConfig) -> int:
 
 def _cmd_train(args, config: RunConfig) -> int:
     if args.seed is not None:
-        config = RunConfig(**{**config.__dict__, "seed": args.seed})
+        config = _validate(dataclasses.replace(config, seed=args.seed))
     _echo_config(config)
     raw, split_of = _load_data_dir(args.data)
     videos = [select_layers(v, list(config.layer_select)) for v in raw]
@@ -162,6 +163,8 @@ def _cmd_trials(args, config: RunConfig) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad --seeds value {args.seeds!r}") from exc
+    if any(seed < 0 for seed in seeds):
+        raise UsageError(f"--seeds must be non-negative, got {args.seeds!r}")
     report = pipeline.run_trials(config, seeds)
     sys.stdout.write(report.table())
     if args.out:

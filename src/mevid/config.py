@@ -150,10 +150,13 @@ def _convert(key: str, text: str):
 def _validate(config: RunConfig) -> RunConfig:
     try:
         config.synthetic_spec()
-        config.model_config().fusion_config()
+        config.model_config()
         config.train_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key in ("seed", "data_seed"):
+        if getattr(config, key) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(config, key)}")
     if not 0.0 < config.train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {config.train_fraction}")
     for i in config.layer_select:

@@ -317,8 +317,11 @@ def load_mvff(path, video_id: str | None = None) -> VideoFeatures:
         labels = np.frombuffer(raw, dtype="<u4", count=t, offset=offset).astype(np.int64)
         offset += t * 4
         progression = np.frombuffer(raw, dtype="<f4", count=t, offset=offset).copy()
+        offset += t * 4
     elif flag != 0:
         raise FormatError(f"label flag must be 0 or 1, got {flag}")
+    if offset != len(raw):
+        raise FormatError(f"{len(raw) - offset} trailing bytes after the MVFF record")
 
     if video_id is None:
         import os

@@ -1,14 +1,17 @@
 """Full trainable model: spatial pooling (or fixed-width split), temporal
 fusion, and the projection head used only by the contrastive loss.
 
-The checkpoint format (MVCK) serializes every named parameter; loading
-validates names and shapes against the constructed configuration and
-reports the exact mismatch.
+All weights live in one ordered table, `Model.params`, mapping a name to
+its `Parameter`. Init builds it (pooling `pool.*` or split `split.*`,
+then `fusion.*`, then `proj.*`, in RNG draw order); the forward pass
+reads weights from it by name; Adam updates it in place; the grad
+checker swaps in a float64 copy; and the MVCK checkpoint format writes
+one record per entry in table order. Loading validates names and shapes
+against the constructed configuration and reports the exact mismatch.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from dataclasses import dataclass
 
@@ -31,117 +34,97 @@ class ModelConfig:
     channels: int = 32
     query_dim: int = 64
     value_dim: int = 64
-    model_dim: int = 128
+    model_dim: int = 128          # entity feature width; also the fusion width
     blocks: int = 3
     heads: int = 1
     mlp_ratio: int = 4
     pooling: str = "cls_style"
-    pos_scale: float = 1.0
+    pos_scale: float = 1.0        # amplitude of the sinusoidal frame code
     proj_hidden: int = 128
     proj_dim: int = 128
 
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
+        if self.num_entities < 1:
+            raise ValueError(f"need at least one entity, got {self.num_entities}")
+        if self.blocks < 1:
+            raise ValueError(f"need at least one block, got {self.blocks}")
+        if self.heads < 1 or self.model_dim % self.heads != 0:
+            raise ValueError(
+                f"fusion width {self.model_dim} not divisible by {self.heads} heads"
+            )
+        if self.pooling not in tf.POOLING_MODES:
+            raise ValueError(
+                f"pooling must be one of {tf.POOLING_MODES}, got {self.pooling!r}")
 
-    def fusion_config(self) -> tf.FusionConfig:
-        return tf.FusionConfig(
-            num_entities=self.num_entities,
-            model_dim=self.model_dim,
-            blocks=self.blocks,
-            heads=self.heads,
-            mlp_ratio=self.mlp_ratio,
-            pooling=self.pooling,
-            pos_scale=self.pos_scale,
-        )
-
-
-@dataclass
-class ProjectionParams:
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
-
-    def named(self) -> dict[str, Parameter]:
-        return {"proj.w1": self.w1, "proj.b1": self.b1,
-                "proj.w2": self.w2, "proj.b2": self.b2}
+    @property
+    def token_dim(self) -> int:
+        """Width of a tagged input token: entity feature plus one-hot ID."""
+        return self.model_dim + self.num_entities
 
 
 class Model:
-    """Parameter container plus the frame-embedding forward pass."""
+    """The parameter table plus the frame-embedding forward pass."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        self.fusion_config = config.fusion_config()
         if config.arch == "entity":
-            self.pooling = sp.init_pooling_params(
+            params = sp.init_pooling_params(
                 rng, config.num_layers, config.channels, config.num_entities,
                 config.query_dim, config.value_dim, config.model_dim)
-            self.split = None
         else:
-            self.pooling = None
-            self.split = tf.init_fixed_width_params(
+            params = tf.init_fixed_width_params(
                 rng, config.channels, config.num_entities, config.model_dim)
-        self.fusion = tf.init_fusion_params(rng, self.fusion_config)
-        d = config.model_dim
-        self.projection = ProjectionParams(
-            w1=Parameter("proj.w1", rng.standard_normal((d, config.proj_hidden)) / np.sqrt(d)),
-            b1=Parameter("proj.b1", np.zeros(config.proj_hidden)),
-            w2=Parameter("proj.w2",
-                         rng.standard_normal((config.proj_hidden, config.proj_dim))
-                         / np.sqrt(config.proj_hidden)),
-            b2=Parameter("proj.b2", np.zeros(config.proj_dim)),
-        )
-
-    def parameters(self) -> dict[str, Parameter]:
-        out = {}
-        if self.pooling is not None:
-            out.update(self.pooling.named())
-        if self.split is not None:
-            out.update(self.split.named())
-        out.update(self.fusion.named())
-        out.update(self.projection.named())
-        return out
+        params.update(tf.init_fusion_params(rng, config))
+        d, hidden = config.model_dim, config.proj_hidden
+        for p in [
+            Parameter("proj.w1", rng.standard_normal((d, hidden)) / np.sqrt(d)),
+            Parameter("proj.b1", np.zeros(hidden)),
+            Parameter("proj.w2",
+                      rng.standard_normal((hidden, config.proj_dim)) / np.sqrt(hidden)),
+            Parameter("proj.b2", np.zeros(config.proj_dim)),
+        ]:
+            params[p.name] = p
+        self.params: dict[str, Parameter] = params
 
     def zero_grads(self) -> None:
-        for p in self.parameters().values():
+        for p in self.params.values():
             p.zero_grad()
 
     def fusion_param_count(self) -> int:
-        return self.fusion.param_count()
+        return sum(p.data.size for name, p in self.params.items()
+                   if name.startswith("fusion."))
 
     # -- forward ------------------------------------------------------------
 
     def extract(self, features: VideoFeatures) -> sp.EntitySet:
         if self.config.arch != "entity":
             raise ValueError("attention extraction requires the entity architecture")
-        return sp.extract_entities_from_arrays(features.layers, self.pooling)
+        return sp.extract_entities_from_arrays(features.layers, self.params)
 
     def embed_frames(self, layers: list[np.ndarray], timestamps: np.ndarray) -> Tensor:
         """Pooled per-frame embeddings for raw per-layer [T, S, D] arrays."""
         if self.config.arch == "entity":
-            entities = sp.extract_entities_from_arrays(layers, self.pooling)
+            entities = sp.extract_entities_from_arrays(layers, self.params)
         else:
             entities = tf.split_frame_tokens(
-                layers[-1], self.split, self.config.num_entities, self.config.model_dim)
-        tokens = tf.build_frame_tokens(entities, self.fusion_config, timestamps)
-        fused = tf.fuse_tokens(tokens, self.fusion_config, self.fusion)
+                layers[-1], self.params, self.config.num_entities, self.config.model_dim)
+        tokens = tf.build_frame_tokens(entities, self.config, timestamps)
+        fused = tf.fuse_tokens(tokens, self.config, self.params)
         return tf.pool_output(fused, entities.num_frames, entities.num_entities,
                               self.config.pooling)
 
     def project(self, pooled: Tensor) -> Tensor:
         """Contrastive-loss head; evaluation uses the pooled embeddings."""
-        h = T.gelu(T.bias_add(T.matmul(pooled, self.projection.w1), self.projection.b1))
-        return T.bias_add(T.matmul(h, self.projection.w2), self.projection.b2)
+        p = self.params
+        h = T.gelu(T.bias_add(T.matmul(pooled, p["proj.w1"]), p["proj.b1"]))
+        return T.bias_add(T.matmul(h, p["proj.w2"]), p["proj.b2"])
 
     # -- state --------------------------------------------------------------
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.parameters().items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray], dtype=np.float32) -> None:
-        own = self.parameters()
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        own = self.params
         missing = sorted(set(own) - set(arrays))
         unexpected = sorted(set(arrays) - set(own))
         if missing or unexpected:
@@ -156,53 +139,8 @@ class Model:
                     f"model expects {p.data.shape}"
                 )
         for name, p in own.items():
-            p.data = np.ascontiguousarray(arrays[name], dtype=dtype)
+            p.data = np.ascontiguousarray(arrays[name], dtype=np.float32)
             p.grad = np.zeros_like(p.data)
-
-    def astype(self, dtype) -> "Model":
-        """Clone with parameters cast to `dtype` (for 64-bit grad checks)."""
-        clone = Model(self.config, np.random.default_rng(0))
-        clone.load_state(self.state_arrays(), dtype=dtype)
-        return clone
-
-    def bind(self, params: dict[str, Parameter]) -> None:
-        """Point every parameter slot at the like-named external tensor.
-
-        Lets a gradient checker drive the forward pass through its own
-        parameter objects; shapes must match the configuration.
-        """
-        own = self.parameters()
-        if set(own) != set(params):
-            raise CheckpointMismatch(
-                f"parameter names differ: missing={sorted(set(own) - set(params))} "
-                f"unexpected={sorted(set(params) - set(own))}"
-            )
-        for name, p in own.items():
-            if tuple(params[name].data.shape) != tuple(p.data.shape):
-                raise CheckpointMismatch(
-                    f"{name} has shape {params[name].data.shape}, "
-                    f"model expects {p.data.shape}"
-                )
-        if self.pooling is not None:
-            self.pooling = _rebound(self.pooling, params)
-        if self.split is not None:
-            self.split = _rebound(self.split, params)
-        self.fusion = _rebound(self.fusion, params)
-        self.projection = _rebound(self.projection, params)
-
-
-def _rebound(value, table: dict[str, Parameter]):
-    if isinstance(value, Parameter):
-        return table[value.name]
-    if isinstance(value, list):
-        return [_rebound(v, table) for v in value]
-    if dataclasses.is_dataclass(value):
-        updates = {
-            f.name: _rebound(getattr(value, f.name), table)
-            for f in dataclasses.fields(value)
-        }
-        return dataclasses.replace(value, **updates)
-    return value
 
 
 class CheckpointMismatch(ValueError):
@@ -220,7 +158,7 @@ _CK_VERSION = 1
 
 def save_checkpoint_bytes(model: Model) -> bytes:
     chunks = [_CK_MAGIC, struct.pack("<I", _CK_VERSION)]
-    for name, p in model.parameters().items():
+    for name, p in model.params.items():
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
@@ -264,6 +202,8 @@ def load_checkpoint_bytes(raw: bytes) -> dict[str, np.ndarray]:
         offset += 4 * count
         if name in arrays:
             raise ValueError(f"duplicate checkpoint record {name!r}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite value in checkpoint record {name!r}")
         arrays[name] = arr.reshape(dims).copy()
     return arrays
 

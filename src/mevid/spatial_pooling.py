@@ -19,41 +19,6 @@ from . import tensor as T
 from .tensor import Parameter, Tensor
 
 
-@dataclass
-class PoolingParams:
-    """Per-layer queries and projections plus the shared output map."""
-
-    queries: list[Parameter]       # [E, d_q] per layer
-    key_proj: list[Parameter]      # [D, d_q] per layer
-    value_proj: list[Parameter]    # [D, d_v] per layer
-    out_proj: Parameter            # [L * d_v, d_model]
-
-    @property
-    def num_entities(self) -> int:
-        return self.queries[0].shape[0]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.queries)
-
-    @property
-    def channels(self) -> int:
-        return self.key_proj[0].shape[0]
-
-    @property
-    def dtype(self):
-        return self.out_proj.dtype
-
-    def named(self) -> dict[str, Parameter]:
-        out = {}
-        for l in range(self.num_layers):
-            out[f"pool.layer{l}.queries"] = self.queries[l]
-            out[f"pool.layer{l}.key_proj"] = self.key_proj[l]
-            out[f"pool.layer{l}.value_proj"] = self.value_proj[l]
-        out["pool.out_proj"] = self.out_proj
-        return out
-
-
 def init_pooling_params(
     rng: np.random.Generator,
     num_layers: int,
@@ -62,30 +27,31 @@ def init_pooling_params(
     query_dim: int,
     value_dim: int,
     model_dim: int,
-) -> PoolingParams:
-    """Fan-in scaled Gaussian init; queries start non-saturating."""
+) -> dict[str, Parameter]:
+    """Fan-in scaled Gaussian init; queries start non-saturating.
+
+    Per layer l: `pool.layer{l}.queries` [E, d_q], `.key_proj` [D, d_q]
+    and `.value_proj` [D, d_v]; then the shared `pool.out_proj`
+    [L * d_v, d_model].
+    """
     if num_entities < 1:
         raise ValueError(f"need at least one entity, got {num_entities}")
-    queries, keys, values = [], [], []
+    params = []
     for l in range(num_layers):
-        queries.append(Parameter(
-            f"pool.layer{l}.queries",
-            rng.standard_normal((num_entities, query_dim)) / math.sqrt(query_dim),
-        ))
-        keys.append(Parameter(
-            f"pool.layer{l}.key_proj",
-            rng.standard_normal((channels, query_dim)) / math.sqrt(channels),
-        ))
-        values.append(Parameter(
-            f"pool.layer{l}.value_proj",
-            rng.standard_normal((channels, value_dim)) / math.sqrt(channels),
-        ))
-    out_proj = Parameter(
+        params += [
+            Parameter(f"pool.layer{l}.queries",
+                      rng.standard_normal((num_entities, query_dim)) / math.sqrt(query_dim)),
+            Parameter(f"pool.layer{l}.key_proj",
+                      rng.standard_normal((channels, query_dim)) / math.sqrt(channels)),
+            Parameter(f"pool.layer{l}.value_proj",
+                      rng.standard_normal((channels, value_dim)) / math.sqrt(channels)),
+        ]
+    params.append(Parameter(
         "pool.out_proj",
         rng.standard_normal((num_layers * value_dim, model_dim))
         / math.sqrt(num_layers * value_dim),
-    )
-    return PoolingParams(queries, keys, values, out_proj)
+    ))
+    return {p.name: p for p in params}
 
 
 @dataclass
@@ -106,35 +72,38 @@ class EntitySet:
         return self.attention[layer].data
 
 
-def extract_entities_from_arrays(layers: list[np.ndarray], params: PoolingParams) -> EntitySet:
+def extract_entities_from_arrays(layers: list[np.ndarray],
+                                 params: dict[str, Parameter]) -> EntitySet:
     """Cross-attend learnable queries over each layer's [T, S, D] token grids."""
-    if len(layers) != params.num_layers:
+    num_layers = sum(1 for name in params if name.endswith(".queries"))
+    if len(layers) != num_layers:
         raise ValueError(
-            f"features have {len(layers)} layers, params expect {params.num_layers}"
+            f"features have {len(layers)} layers, params expect {num_layers}"
         )
-    if layers[0].shape[2] != params.channels:
+    channels = params["pool.layer0.key_proj"].shape[0]
+    if layers[0].shape[2] != channels:
         raise ValueError(
             f"feature channels {layers[0].shape[2]} do not match "
-            f"projection rows {params.channels}"
+            f"projection rows {channels}"
         )
     t, s, _ = layers[0].shape
-    e = params.num_entities
-    d_q = params.queries[0].shape[1]
-    dtype = params.dtype
+    e, d_q = params["pool.layer0.queries"].shape
+    out_proj = params["pool.out_proj"]
 
     per_layer, maps = [], []
-    for l in range(params.num_layers):
-        x = Tensor(layers[l], dtype=dtype)                       # [T, S, D]
-        k = T.matmul(x, params.key_proj[l])                      # [T, S, d_q]
-        v = T.matmul(x, params.value_proj[l])                    # [T, S, d_v]
-        scores = T.matmul(params.queries[l], T.swap_last(k))     # [T, E, S]
+    for l in range(num_layers):
+        pre = f"pool.layer{l}."
+        x = Tensor(layers[l], dtype=out_proj.dtype)              # [T, S, D]
+        k = T.matmul(x, params[pre + "key_proj"])                # [T, S, d_q]
+        v = T.matmul(x, params[pre + "value_proj"])              # [T, S, d_v]
+        scores = T.matmul(params[pre + "queries"], T.swap_last(k))  # [T, E, S]
         attn = T.softmax(T.scale(scores, 1.0 / math.sqrt(d_q)), axis=2)
         per_layer.append(T.matmul(attn, v, high_precision=True))  # [T, E, d_v]
         maps.append(attn)
 
     stacked = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=2)
     flat = T.reshape(stacked, (t * e, stacked.shape[2]))
-    out = T.matmul(flat, params.out_proj)                        # [T*E, d_model]
+    out = T.matmul(flat, out_proj)                               # [T*E, d_model]
     return EntitySet(features=out, num_frames=t, num_entities=e, attention=maps)
 
 

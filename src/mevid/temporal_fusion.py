@@ -18,7 +18,7 @@ spatial pooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,113 +26,51 @@ from . import tensor as T
 from .spatial_pooling import EntitySet
 from .tensor import Parameter, Tensor
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 POOLING_MODES = ("cls_style", "average")
 POS_RANGE = 32.0  # frame positions are rescaled onto [0, POS_RANGE]
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    num_entities: int = 3
-    model_dim: int = 128          # entity feature width; also the fusion width
-    blocks: int = 3
-    heads: int = 1
-    mlp_ratio: int = 4
-    pooling: str = "cls_style"
-    pos_scale: float = 1.0        # amplitude of the sinusoidal frame code
-
-    def __post_init__(self):
-        if self.num_entities < 1:
-            raise ValueError(f"need at least one entity, got {self.num_entities}")
-        if self.blocks < 1:
-            raise ValueError(f"need at least one block, got {self.blocks}")
-        if self.model_dim % self.heads != 0:
-            raise ValueError(
-                f"fusion width {self.model_dim} not divisible by {self.heads} heads"
-            )
-        if self.pooling not in POOLING_MODES:
-            raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
-
-    @property
-    def token_dim(self) -> int:
-        """Width of a tagged input token: entity feature plus one-hot ID."""
-        return self.model_dim + self.num_entities
-
-
-@dataclass
-class BlockParams:
-    ln1_gamma: Parameter
-    ln1_beta: Parameter
-    wq: Parameter
-    bq: Parameter
-    wk: Parameter
-    bk: Parameter
-    wv: Parameter
-    bv: Parameter
-    wo: Parameter
-    bo: Parameter
-    ln2_gamma: Parameter
-    ln2_beta: Parameter
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
-
-
-@dataclass
-class FusionParams:
-    input_w: Parameter            # [d_token, model_dim]
-    input_b: Parameter
-    blocks: list[BlockParams] = field(default_factory=list)
-    final_gamma: Parameter = None
-    final_beta: Parameter = None
-
-    def named(self) -> dict[str, Parameter]:
-        out = {"fusion.input.w": self.input_w, "fusion.input.b": self.input_b}
-        for i, blk in enumerate(self.blocks):
-            for fname in blk.__dataclass_fields__:
-                out[f"fusion.block{i}.{fname}"] = getattr(blk, fname)
-        out["fusion.final.gamma"] = self.final_gamma
-        out["fusion.final.beta"] = self.final_beta
-        return out
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.named().values())
-
-
-def init_fusion_params(rng: np.random.Generator, config: FusionConfig) -> FusionParams:
+def init_fusion_params(rng: np.random.Generator,
+                       config: ModelConfig) -> dict[str, Parameter]:
+    """`fusion.input.*`, then `fusion.block{i}.*` per block, then `fusion.final.*`."""
     d = config.model_dim
     hidden = config.mlp_ratio * d
 
     def linear(rows, cols):
         return rng.standard_normal((rows, cols)) / math.sqrt(rows)
 
-    params = FusionParams(
-        input_w=Parameter("fusion.input.w", linear(config.token_dim, d)),
-        input_b=Parameter("fusion.input.b", np.zeros(d)),
-    )
+    params = [
+        Parameter("fusion.input.w", linear(config.token_dim, d)),
+        Parameter("fusion.input.b", np.zeros(d)),
+    ]
     for i in range(config.blocks):
-        pre = f"fusion.block{i}"
-        params.blocks.append(BlockParams(
-            ln1_gamma=Parameter(f"{pre}.ln1_gamma", np.ones(d)),
-            ln1_beta=Parameter(f"{pre}.ln1_beta", np.zeros(d)),
-            wq=Parameter(f"{pre}.wq", linear(d, d)),
-            bq=Parameter(f"{pre}.bq", np.zeros(d)),
-            wk=Parameter(f"{pre}.wk", linear(d, d)),
-            bk=Parameter(f"{pre}.bk", np.zeros(d)),
-            wv=Parameter(f"{pre}.wv", linear(d, d)),
-            bv=Parameter(f"{pre}.bv", np.zeros(d)),
-            wo=Parameter(f"{pre}.wo", linear(d, d)),
-            bo=Parameter(f"{pre}.bo", np.zeros(d)),
-            ln2_gamma=Parameter(f"{pre}.ln2_gamma", np.ones(d)),
-            ln2_beta=Parameter(f"{pre}.ln2_beta", np.zeros(d)),
-            w1=Parameter(f"{pre}.w1", linear(d, hidden)),
-            b1=Parameter(f"{pre}.b1", np.zeros(hidden)),
-            w2=Parameter(f"{pre}.w2", linear(hidden, d)),
-            b2=Parameter(f"{pre}.b2", np.zeros(d)),
-        ))
-    params.final_gamma = Parameter("fusion.final.gamma", np.ones(d))
-    params.final_beta = Parameter("fusion.final.beta", np.zeros(d))
-    return params
+        pre = f"fusion.block{i}."
+        params += [
+            Parameter(pre + "ln1_gamma", np.ones(d)),
+            Parameter(pre + "ln1_beta", np.zeros(d)),
+            Parameter(pre + "wq", linear(d, d)),
+            Parameter(pre + "bq", np.zeros(d)),
+            Parameter(pre + "wk", linear(d, d)),
+            Parameter(pre + "bk", np.zeros(d)),
+            Parameter(pre + "wv", linear(d, d)),
+            Parameter(pre + "bv", np.zeros(d)),
+            Parameter(pre + "wo", linear(d, d)),
+            Parameter(pre + "bo", np.zeros(d)),
+            Parameter(pre + "ln2_gamma", np.ones(d)),
+            Parameter(pre + "ln2_beta", np.zeros(d)),
+            Parameter(pre + "w1", linear(d, hidden)),
+            Parameter(pre + "b1", np.zeros(hidden)),
+            Parameter(pre + "w2", linear(hidden, d)),
+            Parameter(pre + "b2", np.zeros(d)),
+        ]
+    params += [
+        Parameter("fusion.final.gamma", np.ones(d)),
+        Parameter("fusion.final.beta", np.zeros(d)),
+    ]
+    return {p.name: p for p in params}
 
 
 def sinusoidal_encoding(timestamps: np.ndarray, dim: int, dtype=np.float32) -> np.ndarray:
@@ -146,7 +84,7 @@ def sinusoidal_encoding(timestamps: np.ndarray, dim: int, dtype=np.float32) -> n
     return enc.astype(dtype)
 
 
-def build_frame_tokens(entities: EntitySet, config: FusionConfig,
+def build_frame_tokens(entities: EntitySet, config: ModelConfig,
                        timestamps: np.ndarray) -> Tensor:
     """Tag entity features with one-hot IDs and add the frame position code.
 
@@ -177,10 +115,10 @@ def build_frame_tokens(entities: EntitySet, config: FusionConfig,
     return T.add(tokens, Tensor(padded, dtype=dtype))
 
 
-def _attention(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
-    q = T.bias_add(T.matmul(x, blk.wq), blk.bq)
-    k = T.bias_add(T.matmul(x, blk.wk), blk.bk)
-    v = T.bias_add(T.matmul(x, blk.wv), blk.bv)
+def _attention(x: Tensor, params: dict[str, Parameter], pre: str, heads: int) -> Tensor:
+    q = T.bias_add(T.matmul(x, params[pre + "wq"]), params[pre + "bq"])
+    k = T.bias_add(T.matmul(x, params[pre + "wk"]), params[pre + "bk"])
+    v = T.bias_add(T.matmul(x, params[pre + "wv"]), params[pre + "bv"])
     if heads == 1:
         mixed = T.scaled_dot_attention(q, k, v)
     else:
@@ -192,24 +130,25 @@ def _attention(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
                 T.narrow(q, 1, s, width), T.narrow(k, 1, s, width),
                 T.narrow(v, 1, s, width)))
         mixed = T.concat(outs, axis=1)
-    return T.bias_add(T.matmul(mixed, blk.wo), blk.bo)
+    return T.bias_add(T.matmul(mixed, params[pre + "wo"]), params[pre + "bo"])
 
 
-def fuse_tokens(tokens: Tensor, config: FusionConfig, params: FusionParams) -> Tensor:
+def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter]) -> Tensor:
     """Run the pre-norm fusion transformer; token count in == token count out."""
     if tokens.shape[1] != config.token_dim:
         raise ValueError(
             f"token dim {tokens.shape[1]} does not match config token dim {config.token_dim}"
         )
-    h = T.bias_add(T.matmul(tokens, params.input_w), params.input_b)
-    for blk in params.blocks:
-        normed = T.layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
-        h = T.add(h, _attention(normed, blk, config.heads))
-        normed = T.layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
-        m = T.gelu(T.bias_add(T.matmul(normed, blk.w1), blk.b1))
-        m = T.bias_add(T.matmul(m, blk.w2), blk.b2)
+    h = T.bias_add(T.matmul(tokens, params["fusion.input.w"]), params["fusion.input.b"])
+    for i in range(config.blocks):
+        pre = f"fusion.block{i}."
+        normed = T.layer_norm(h, params[pre + "ln1_gamma"], params[pre + "ln1_beta"])
+        h = T.add(h, _attention(normed, params, pre, config.heads))
+        normed = T.layer_norm(h, params[pre + "ln2_gamma"], params[pre + "ln2_beta"])
+        m = T.gelu(T.bias_add(T.matmul(normed, params[pre + "w1"]), params[pre + "b1"]))
+        m = T.bias_add(T.matmul(m, params[pre + "w2"]), params[pre + "b2"])
         h = T.add(h, m)
-    return T.layer_norm(h, params.final_gamma, params.final_beta)
+    return T.layer_norm(h, params["fusion.final.gamma"], params["fusion.final.beta"])
 
 
 def pool_output(outputs: Tensor, num_frames: int, num_entities: int, mode: str) -> Tensor:
@@ -231,33 +170,19 @@ def pool_output(outputs: Tensor, num_frames: int, num_entities: int, mode: str) 
 # fixed-width baseline
 
 
-@dataclass
-class FixedWidthParams:
-    """Learned split of a mean-pooled frame vector into N fusion tokens."""
-
-    split_w: Parameter            # [D, N * model_dim]
-    split_b: Parameter
-
-    @property
-    def dtype(self):
-        return self.split_w.dtype
-
-    def named(self) -> dict[str, Parameter]:
-        return {"split.w": self.split_w, "split.b": self.split_b}
-
-
 def init_fixed_width_params(rng: np.random.Generator, channels: int,
-                            num_splits: int, model_dim: int) -> FixedWidthParams:
-    return FixedWidthParams(
-        split_w=Parameter(
-            "split.w",
-            rng.standard_normal((channels, num_splits * model_dim)) / math.sqrt(channels),
-        ),
-        split_b=Parameter("split.b", np.zeros(num_splits * model_dim)),
-    )
+                            num_splits: int, model_dim: int) -> dict[str, Parameter]:
+    """Learned split of a mean-pooled frame vector into N fusion tokens:
+    `split.w` [D, N * model_dim] and `split.b`."""
+    params = [
+        Parameter("split.w",
+                  rng.standard_normal((channels, num_splits * model_dim)) / math.sqrt(channels)),
+        Parameter("split.b", np.zeros(num_splits * model_dim)),
+    ]
+    return {p.name: p for p in params}
 
 
-def split_frame_tokens(last_layer: np.ndarray, params: FixedWidthParams,
+def split_frame_tokens(last_layer: np.ndarray, params: dict[str, Parameter],
                        num_splits: int, model_dim: int) -> EntitySet:
     """Mean-pool a [T, S, D] grid per frame and split into N tokens per frame.
 
@@ -266,8 +191,8 @@ def split_frame_tokens(last_layer: np.ndarray, params: FixedWidthParams,
     """
     t = last_layer.shape[0]
     frame_vecs = last_layer.mean(axis=1)                           # [T, D]
-    x = Tensor(frame_vecs, dtype=params.dtype)
-    split = T.bias_add(T.matmul(x, params.split_w), params.split_b)  # [T, N*d]
+    x = Tensor(frame_vecs, dtype=params["split.w"].dtype)
+    split = T.bias_add(T.matmul(x, params["split.w"]), params["split.b"])  # [T, N*d]
     tokens = T.reshape(split, (t * num_splits, model_dim))
     return EntitySet(features=tokens, num_frames=t, num_entities=num_splits,
                      attention=[])

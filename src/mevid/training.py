@@ -178,7 +178,7 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
         raise ValueError("training dataset is empty")
     rng = np.random.default_rng(config.seed)
     model = Model(model_config, rng)
-    params = model.parameters()
+    params = model.params
     state = AdamState(params)
 
     trace: list[float] = []

@@ -76,16 +76,15 @@ def test_criterion_1_gradient_suite():
     idx1, idx2 = np.array([0, 2]), np.array([1, 3])  # two 2-frame views
     layers1 = [l[idx1] for l in toy.layers]
     layers2 = [l[idx2] for l in toy.layers]
-    shadow = model.astype(np.float64)
 
     def pipeline_loss(params):
-        shadow.bind(params)
-        z1 = shadow.project(shadow.embed_frames(layers1, np.arange(2)))
-        z2 = shadow.project(shadow.embed_frames(layers2, np.arange(2)))
+        model.params = params
+        z1 = model.project(model.embed_frames(layers1, np.arange(2)))
+        z2 = model.project(model.embed_frames(layers2, np.arange(2)))
         return tr.sequence_contrastive_loss(z1, idx1, z2, idx2, 1.5, 0.2)
 
     start = time.monotonic()
-    result = grad_check(pipeline_loss, model.parameters(), step=1e-6, tol=1e-5)
+    result = grad_check(pipeline_loss, model.params, step=1e-6, tol=1e-5)
     elapsed = time.monotonic() - start
     report(1, "full-pipeline gradient check < 1e-5 within 10 s",
            result.passed and result.max_rel_error < 1e-5 and elapsed < 10.0,
@@ -116,9 +115,9 @@ def test_criterion_2_attention_invariants():
         timestamps=np.arange(2))
     other = init_pooling_params(np.random.default_rng(99), 2, 8, 3, 4, 4, 6)
     for l in range(2):
-        other.key_proj[l].data = params.key_proj[l].data.copy()
-        other.value_proj[l].data = params.value_proj[l].data.copy()
-    other.out_proj.data = params.out_proj.data.copy()
+        for name in (f"pool.layer{l}.key_proj", f"pool.layer{l}.value_proj"):
+            other[name].data = params[name].data.copy()
+    other["pool.out_proj"].data = params["pool.out_proj"].data.copy()
     out_a = extract_entities_from_arrays(degenerate.layers, params).features.data
     out_b = extract_entities_from_arrays(degenerate.layers, other).features.data
     collapse_ok = np.abs(out_a - out_b).max() < 1e-5
@@ -133,8 +132,8 @@ def test_criterion_2_attention_invariants():
 
 
 def test_criterion_3_permutation_invariants():
-    config = tf.FusionConfig(num_entities=3, model_dim=16, blocks=3, heads=2,
-                             mlp_ratio=2)
+    config = ModelConfig(num_entities=3, model_dim=16, blocks=3, heads=2,
+                         mlp_ratio=2)
     rng = np.random.default_rng(4)
     params = tf.init_fusion_params(rng, config)
     t, e = 5, 3

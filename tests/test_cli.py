@@ -167,9 +167,23 @@ class TestErrors:
 
     def test_bad_value_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        for line in ("videos = many", "max_steps = none", "max_steps = -3", "entities = 0"):
+        for line in ("videos = many", "max_steps = none", "max_steps = -3", "entities = 0",
+                     "seed = -1", "data_seed = -3", "heads = 0"):
             cfg.write_text(line + "\n")
             assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+
+    def test_negative_seed_override_exit_one(self, tmp_path, small_config, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", small_config, "--data", str(data),
+                     "--out", str(tmp_path / "m.mvck"), "--seed", "-5"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert main(["gen", "--config", small_config, "--out", str(tmp_path / "d"),
+                     "--seed", "-2"]) == 1
+        assert "data_seed" in capsys.readouterr().err
+        assert main(["trials", "--config", small_config, "--seeds=-1,2"]) == 1
+        assert "--seeds" in capsys.readouterr().err
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         assert main(["gen", "--config", str(tmp_path / "none.cfg"),

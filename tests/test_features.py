@@ -172,6 +172,13 @@ class TestMvffFormat:
         with pytest.raises(TruncatedError):
             load_mvff(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        video = generate_synthetic_dataset(SMALL)[0]
+        path, _ = self._roundtrip(tmp_path, video)
+        path.write_bytes(path.read_bytes() + b"junkjunk")
+        with pytest.raises(FormatError, match="8 trailing bytes"):
+            load_mvff(path)
+
     def test_bad_label_flag(self, tmp_path):
         t, s, d = 2, 1, 1
         video = VideoFeatures(video_id="v", num_frames=t,

@@ -37,17 +37,17 @@ class TestExtractEntities:
         params_b = make_params(np.random.default_rng(3))
         # same projections, different queries
         for l in range(2):
-            params_b.key_proj[l].data = params_a.key_proj[l].data.copy()
-            params_b.value_proj[l].data = params_a.value_proj[l].data.copy()
-        params_b.out_proj.data = params_a.out_proj.data.copy()
+            for name in (f"pool.layer{l}.key_proj", f"pool.layer{l}.value_proj"):
+                params_b[name].data = params_a[name].data.copy()
+        params_b["pool.out_proj"].data = params_a["pool.out_proj"].data.copy()
 
         out_a = sp.extract_entities_from_arrays(video.layers, params_a).features.data
         out_b = sp.extract_entities_from_arrays(video.layers, params_b).features.data
         assert np.abs(out_a - out_b).max() < 1e-5
 
         # and the value equals the token's projections pushed through out_proj
-        parts = [token @ params_a.value_proj[l].data for l in range(2)]
-        expected = np.concatenate(parts) @ params_a.out_proj.data
+        parts = [token @ params_a[f"pool.layer{l}.value_proj"].data for l in range(2)]
+        expected = np.concatenate(parts) @ params_a["pool.out_proj"].data
         assert np.abs(out_a - expected).max() < 1e-4
 
     def test_saturated_token_dominates(self):
@@ -56,8 +56,8 @@ class TestExtractEntities:
         rng = np.random.default_rng(4)
         d = d_q = 4
         params = sp.init_pooling_params(rng, 1, d, 1, d_q, 3, 3)
-        params.key_proj[0].data = np.eye(d, dtype=np.float32)
-        q = params.queries[0].data[0]
+        params["pool.layer0.key_proj"].data = np.eye(d, dtype=np.float32)
+        q = params["pool.layer0.queries"].data[0]
         q_unit = q / np.linalg.norm(q)
         basis = np.linalg.svd(np.outer(q_unit, q_unit))[0][:, 1:]  # orthogonal complement
         tokens = np.zeros((1, 5, d), dtype=np.float32)
@@ -67,7 +67,8 @@ class TestExtractEntities:
         video = VideoFeatures(video_id="v", num_frames=1, layers=[tokens],
                               timestamps=np.arange(1))
         ents = sp.extract_entities_from_arrays(video.layers, params)
-        expected = (tokens[0, 0] @ params.value_proj[0].data) @ params.out_proj.data
+        expected = ((tokens[0, 0] @ params["pool.layer0.value_proj"].data)
+                    @ params["pool.out_proj"].data)
         assert np.abs(ents.features.data[0] - expected).max() < 1e-4
 
     def test_time_constancy(self):
@@ -114,19 +115,13 @@ class TestExtractEntities:
         rng = np.random.default_rng(7)
         video = make_features(rng, t=2, s=4, d=5)
         params = sp.init_pooling_params(rng, 2, 5, 2, 3, 3, 4)
-        named = params.named()
 
         def f(p):
-            rebuilt = sp.PoolingParams(
-                queries=[p[f"pool.layer{l}.queries"] for l in range(2)],
-                key_proj=[p[f"pool.layer{l}.key_proj"] for l in range(2)],
-                value_proj=[p[f"pool.layer{l}.value_proj"] for l in range(2)],
-                out_proj=p["pool.out_proj"])
-            out = sp.extract_entities_from_arrays(video.layers, rebuilt)
+            out = sp.extract_entities_from_arrays(video.layers, p)
             from mevid import tensor as T
             return T.sum_all(T.mul(out.features, out.features))
 
-        report = grad_check(f, named)
+        report = grad_check(f, params)
         assert report.passed and report.max_rel_error < 1e-5, report
 
     def test_layer_count_mismatch(self):
@@ -147,16 +142,11 @@ class TestExtractEntities:
         params = sp.init_pooling_params(rng, 1, 5, 1, 3, 3, 4)
 
         def f(p):
-            rebuilt = sp.PoolingParams(
-                queries=[p["pool.layer0.queries"]],
-                key_proj=[p["pool.layer0.key_proj"]],
-                value_proj=[p["pool.layer0.value_proj"]],
-                out_proj=p["pool.out_proj"])
-            out = sp.extract_entities_from_arrays(video.layers, rebuilt)
+            out = sp.extract_entities_from_arrays(video.layers, p)
             from mevid import tensor as T
             return T.sum_all(T.mul(out.features, out.features))
 
-        report = grad_check(f, params.named())
+        report = grad_check(f, params)
         assert report.passed and report.max_rel_error < 1e-5, report
 
 

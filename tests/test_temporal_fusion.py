@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -14,7 +15,7 @@ from mevid.model import (
 from mevid.spatial_pooling import EntitySet
 from mevid.tensor import Tensor, grad_check
 
-CFG = tf.FusionConfig(num_entities=3, model_dim=8, blocks=3, heads=2, mlp_ratio=2)
+CFG = ModelConfig(num_entities=3, model_dim=8, blocks=3, heads=2, mlp_ratio=2)
 
 
 def entity_set(rng, t=4, e=3, d=8):
@@ -101,28 +102,20 @@ class TestFusion:
         assert np.abs(pool(tokens) - pool(tokens[perm])).max() < 1e-6
 
     def test_gradients_through_build_fuse_pool(self):
-        small = tf.FusionConfig(num_entities=2, model_dim=4, blocks=2, heads=2,
-                                mlp_ratio=2)
+        small = ModelConfig(num_entities=2, model_dim=4, blocks=2, heads=2,
+                            mlp_ratio=2)
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((4 * 2, 4)).astype(np.float32)
         params = tf.init_fusion_params(rng, small)
-        named = params.named()
 
         def f(p):
-            rebuilt = tf.FusionParams(
-                input_w=p["fusion.input.w"], input_b=p["fusion.input.b"],
-                blocks=[tf.BlockParams(**{
-                    fname: p[f"fusion.block{i}.{fname}"]
-                    for fname in tf.BlockParams.__dataclass_fields__})
-                    for i in range(small.blocks)],
-                final_gamma=p["fusion.final.gamma"], final_beta=p["fusion.final.beta"])
             ents = EntitySet(features=Tensor(feats, dtype=p["fusion.input.w"].dtype),
                              num_frames=4, num_entities=2, attention=[])
             tokens = tf.build_frame_tokens(ents, small, np.arange(4))
-            out = tf.pool_output(tf.fuse_tokens(tokens, small, rebuilt), 4, 2, "average")
+            out = tf.pool_output(tf.fuse_tokens(tokens, small, p), 4, 2, "average")
             return T.sum_all(T.mul(out, out))
 
-        report = grad_check(f, named)
+        report = grad_check(f, params)
         assert report.passed and report.max_rel_error < 1e-5, report
 
 
@@ -169,8 +162,8 @@ class TestFixedWidthBaseline:
         d = CFG.model_dim
         last = rng.standard_normal((3, 4, d)).astype(np.float32)
         params = tf.init_fixed_width_params(rng, d, 3, d)
-        params.split_w.data = np.concatenate([np.eye(d, dtype=np.float32)] * 3, axis=1)
-        params.split_b.data = np.zeros(3 * d, dtype=np.float32)
+        params["split.w"].data = np.concatenate([np.eye(d, dtype=np.float32)] * 3, axis=1)
+        params["split.b"].data = np.zeros(3 * d, dtype=np.float32)
         ents = tf.split_frame_tokens(last, params, 3, d)
         grouped = ents.features.data.reshape(3, 3, d)
         frame_mean = last.mean(axis=1)
@@ -208,7 +201,7 @@ class TestDeterminismAndCheckpoint:
 
     def test_same_seed_bit_identical_params_and_outputs(self):
         m1, m2 = self._model(), self._model()
-        for (n1, p1), (n2, p2) in zip(m1.parameters().items(), m2.parameters().items()):
+        for (n1, p1), (n2, p2) in zip(m1.params.items(), m2.params.items()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
         rng = np.random.default_rng(0)
@@ -222,8 +215,8 @@ class TestDeterminismAndCheckpoint:
         raw = save_checkpoint_bytes(model)
         assert raw[:4] == b"MVCK"
         arrays = load_checkpoint_bytes(raw)
-        assert set(arrays) == set(model.parameters())
-        for name, p in model.parameters().items():
+        assert set(arrays) == set(model.params)
+        for name, p in model.params.items():
             assert np.array_equal(arrays[name], p.data)
 
     def test_checkpoint_bad_magic(self):
@@ -244,6 +237,28 @@ class TestDeterminismAndCheckpoint:
         with pytest.raises(ValueError, match="duplicate.*proj.b2"):
             load_checkpoint_bytes(raw + record)
 
+    def test_checkpoint_non_finite_value_rejected(self):
+        for name, value in (("pool.layer0.queries", np.inf), ("proj.b2", np.nan)):
+            model = self._model()
+            model.params[name].data.reshape(-1)[0] = value
+            with pytest.raises(ValueError, match=f"non-finite.*{name}"):
+                load_checkpoint_bytes(save_checkpoint_bytes(model))
+
+    def test_default_init_is_pinned(self):
+        # init draw order, parameter names and record order at the defaults
+        golden = {
+            "entity": (66, 682432,
+                       "0e34e0d3a8e8acc40137fd0936c7b68a18e6aa14d221e716deff6bcb26ff7152"),
+            "fixed_width": (58, 657664,
+                            "aa812416d8cc23c60bbee974531f25d30321b1091972a80e3586737d5365e35f"),
+        }
+        for arch, (records, values, digest) in golden.items():
+            raw = save_checkpoint_bytes(Model(ModelConfig(arch=arch), np.random.default_rng(0)))
+            arrays = load_checkpoint_bytes(raw)
+            assert len(arrays) == records, arch
+            assert sum(a.size for a in arrays.values()) == values, arch
+            assert hashlib.sha256(raw).hexdigest() == digest, arch
+
     def test_load_state_mismatch_names_the_problem(self):
         model = self._model()
         other = Model(ModelConfig(num_entities=3, num_layers=2, channels=8,
@@ -256,4 +271,4 @@ class TestDeterminismAndCheckpoint:
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
-            tf.FusionConfig(num_entities=3, model_dim=9, heads=2)
+            ModelConfig(num_entities=3, model_dim=9, heads=2)

@@ -181,8 +181,8 @@ class TestTrainLoop:
         config = small_train_config(lr=0.0)
         init = Model(MODEL, np.random.default_rng(config.seed))
         result = tr.train(data, MODEL, config)
-        for name, p in result.model.parameters().items():
-            assert np.array_equal(p.data, init.parameters()[name].data), name
+        for name, p in result.model.params.items():
+            assert np.array_equal(p.data, init.params[name].data), name
 
     def test_loss_trace_finite_and_counted(self):
         data = generate_synthetic_dataset(SPEC)
