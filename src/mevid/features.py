@@ -287,6 +287,15 @@ def write_mvff(features: VideoFeatures, path) -> None:
             fh.write(np.ascontiguousarray(features.progression, dtype="<f4").tobytes())
 
 
+def _check_finite(values: np.ndarray, what: str, index_names: str) -> None:
+    if np.isfinite(values).all():
+        return
+    bad = ~np.isfinite(values)
+    first = ", ".join(str(int(i)) for i in np.argwhere(bad)[0])
+    raise FormatError(
+        f"{int(bad.sum())} non-finite {what} values; the first is at {index_names} = [{first}]")
+
+
 def load_mvff(path, video_id: str | None = None) -> VideoFeatures:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -322,6 +331,9 @@ def load_mvff(path, video_id: str | None = None) -> VideoFeatures:
         raise FormatError(f"label flag must be 0 or 1, got {flag}")
     if offset != len(raw):
         raise FormatError(f"{len(raw) - offset} trailing bytes after the MVFF record")
+    _check_finite(grid, "feature", "[frame, layer, token, channel]")
+    if progression is not None:
+        _check_finite(progression, "progression", "frame")
 
     if video_id is None:
         import os

@@ -99,12 +99,16 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def extract(self, features: VideoFeatures) -> sp.EntitySet:
+        """Entity set of one whole video, as a batch of one sequence."""
         if self.config.arch != "entity":
             raise ValueError("attention extraction requires the entity architecture")
-        return sp.extract_entities_from_arrays(features.layers, self.params)
+        return sp.extract_entities_from_arrays([l[None] for l in features.layers],
+                                               self.params)
 
     def embed_frames(self, layers: list[np.ndarray], timestamps: np.ndarray) -> Tensor:
-        """Pooled per-frame embeddings for raw per-layer [T, S, D] arrays."""
+        """Pooled [B, T, d] per-frame embeddings of B sequences, given raw
+        per-layer [B, T, S, D] arrays and [B, T] timestamps. Training runs
+        every view of a step as one batch; evaluation runs one video."""
         if self.config.arch == "entity":
             entities = sp.extract_entities_from_arrays(layers, self.params)
         else:
@@ -116,7 +120,8 @@ class Model:
                               self.config.pooling)
 
     def project(self, pooled: Tensor) -> Tensor:
-        """Contrastive-loss head; evaluation uses the pooled embeddings."""
+        """Contrastive-loss head over [B, T, d]; evaluation uses the pooled
+        embeddings."""
         p = self.params
         h = T.gelu(T.bias_add(T.matmul(pooled, p["proj.w1"]), p["proj.b1"]))
         return T.bias_add(T.matmul(h, p["proj.w2"]), p["proj.b2"])

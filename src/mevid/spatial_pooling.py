@@ -56,11 +56,14 @@ def init_pooling_params(
 
 @dataclass
 class EntitySet:
-    """Per-frame entity features with the attention that produced them.
+    """Per-frame entity features of B sequences, with the attention that
+    produced them.
 
-    `features` is a [T*E, d_model] tensor in frame-major order (frame t,
-    entity e lives at row t*E + e) and stays connected to the graph.
-    `attention` holds one [T, E, S] row-stochastic tensor per layer.
+    `features` is a [B, T*E, d_model] tensor, frame-major within each
+    sequence (frame t, entity e lives at row t*E + e), and stays connected
+    to the graph. `attention` holds one [B*T, E, S] row-stochastic tensor
+    per layer, frame-major over the sequences; with one sequence, row t is
+    frame t.
     """
 
     features: Tensor
@@ -74,36 +77,40 @@ class EntitySet:
 
 def extract_entities_from_arrays(layers: list[np.ndarray],
                                  params: dict[str, Parameter]) -> EntitySet:
-    """Cross-attend learnable queries over each layer's [T, S, D] token grids."""
+    """Cross-attend learnable queries over each layer's [B, T, S, D] token
+    grids: B sequences of T frames, all frames pooled alike."""
     num_layers = sum(1 for name in params if name.endswith(".queries"))
     if len(layers) != num_layers:
         raise ValueError(
             f"features have {len(layers)} layers, params expect {num_layers}"
         )
+    if layers[0].ndim != 4:
+        raise ValueError(f"expected [B, T, S, D] token grids, got shape {layers[0].shape}")
     channels = params["pool.layer0.key_proj"].shape[0]
-    if layers[0].shape[2] != channels:
+    if layers[0].shape[3] != channels:
         raise ValueError(
-            f"feature channels {layers[0].shape[2]} do not match "
+            f"feature channels {layers[0].shape[3]} do not match "
             f"projection rows {channels}"
         )
-    t, s, _ = layers[0].shape
+    b, t, s, _ = layers[0].shape
     e, d_q = params["pool.layer0.queries"].shape
     out_proj = params["pool.out_proj"]
 
     per_layer, maps = [], []
     for l in range(num_layers):
         pre = f"pool.layer{l}."
-        x = Tensor(layers[l], dtype=out_proj.dtype)              # [T, S, D]
-        k = T.matmul(x, params[pre + "key_proj"])                # [T, S, d_q]
-        v = T.matmul(x, params[pre + "value_proj"])              # [T, S, d_v]
-        scores = T.matmul(params[pre + "queries"], T.swap_last(k))  # [T, E, S]
+        x = Tensor(layers[l].reshape(b * t, s, channels), dtype=out_proj.dtype)  # [B*T, S, D]
+        k = T.matmul(x, params[pre + "key_proj"], sequences=b)    # [B*T, S, d_q]
+        v = T.matmul(x, params[pre + "value_proj"], sequences=b)  # [B*T, S, d_v]
+        scores = T.matmul(params[pre + "queries"], T.swap_last(k),
+                          sequences=b)                            # [B*T, E, S]
         attn = T.softmax(T.scale(scores, 1.0 / math.sqrt(d_q)), axis=2)
-        per_layer.append(T.matmul(attn, v, high_precision=True))  # [T, E, d_v]
+        per_layer.append(T.matmul(attn, v, high_precision=True))  # [B*T, E, d_v]
         maps.append(attn)
 
     stacked = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=2)
-    flat = T.reshape(stacked, (t * e, stacked.shape[2]))
-    out = T.matmul(flat, out_proj)                               # [T*E, d_model]
+    flat = T.reshape(stacked, (b, t * e, stacked.shape[2]))
+    out = T.matmul(flat, out_proj)                               # [B, T*E, d_model]
     return EntitySet(features=out, num_frames=t, num_entities=e, attention=maps)
 
 

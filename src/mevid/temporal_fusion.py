@@ -74,13 +74,14 @@ def init_fusion_params(rng: np.random.Generator,
 
 
 def sinusoidal_encoding(timestamps: np.ndarray, dim: int, dtype=np.float32) -> np.ndarray:
-    """Classic sin/cos position code over the given frame indices."""
-    t = np.asarray(timestamps, dtype=np.float64)[:, None]
+    """Classic sin/cos position code over the given frame indices, along a
+    new trailing axis."""
+    t = np.asarray(timestamps, dtype=np.float64)[..., None]
     half = (dim + 1) // 2
-    rates = np.exp(-math.log(10000.0) * (np.arange(half) / max(half, 1)))[None, :]
-    enc = np.zeros((t.shape[0], dim))
-    enc[:, 0::2] = np.sin(t * rates)
-    enc[:, 1::2] = np.cos(t * rates[:, : dim // 2])
+    rates = np.exp(-math.log(10000.0) * (np.arange(half) / max(half, 1)))
+    enc = np.zeros(t.shape[:-1] + (dim,))
+    enc[..., 0::2] = np.sin(t * rates)
+    enc[..., 1::2] = np.cos(t * rates[: dim // 2])
     return enc.astype(dtype)
 
 
@@ -90,28 +91,29 @@ def build_frame_tokens(entities: EntitySet, config: ModelConfig,
 
     token(t, e) = concat(feature(t, e), onehot(e)) + pos(timestamp[t]),
     with the position code shared by a frame's entities and zero on the
-    E ID coordinates. Positions are rescaled so the last frame of any
-    sequence sits at `POS_RANGE`; sequences of different lengths then
-    share one code range instead of forcing extrapolation.
+    E ID coordinates. `timestamps` is [B, T], one row per sequence.
+    Positions are rescaled so the last frame of each sequence sits at
+    `POS_RANGE`; sequences of different lengths then share one code range
+    instead of forcing extrapolation.
     """
-    t, e = entities.num_frames, entities.num_entities
+    b, t, e = entities.features.shape[0], entities.num_frames, entities.num_entities
     if e != config.num_entities:
         raise ValueError(
             f"entity set has E={e}, fusion config expects E={config.num_entities}"
         )
-    if len(timestamps) != t:
-        raise ValueError(f"{len(timestamps)} timestamps for {t} frames")
+    ts = np.asarray(timestamps, dtype=np.float64)
+    if ts.shape != (b, t):
+        raise ValueError(f"timestamps of shape {ts.shape} for {b} sequences of {t} frames")
     dtype = entities.features.dtype
 
-    ids = np.tile(np.eye(e, dtype=dtype), (t, 1))                       # [T*E, E]
-    tokens = T.concat([entities.features, Tensor(ids, dtype=dtype)], axis=1)
+    ids = np.broadcast_to(np.tile(np.eye(e, dtype=dtype), (t, 1)), (b, t * e, e))
+    tokens = T.concat([entities.features, Tensor(ids, dtype=dtype)], axis=2)
 
-    ts = np.asarray(timestamps, dtype=np.float64)
-    span = float(ts.max()) if t > 1 else 1.0
-    positions = ts * (POS_RANGE / max(span, 1.0))
+    span = ts.max(axis=1) if t > 1 else np.ones(b)
+    positions = ts * (POS_RANGE / np.maximum(span, 1.0))[:, None]
     pos = config.pos_scale * sinusoidal_encoding(positions, config.model_dim, dtype)
-    padded = np.zeros((t * e, config.token_dim), dtype=dtype)
-    padded[:, : config.model_dim] = np.repeat(pos, e, axis=0)
+    padded = np.zeros((b, t * e, config.token_dim), dtype=dtype)
+    padded[:, :, : config.model_dim] = np.repeat(pos, e, axis=1)
     return T.add(tokens, Tensor(padded, dtype=dtype))
 
 
@@ -122,22 +124,23 @@ def _attention(x: Tensor, params: dict[str, Parameter], pre: str, heads: int) ->
     if heads == 1:
         mixed = T.scaled_dot_attention(q, k, v)
     else:
-        width = q.shape[1] // heads
+        width = q.shape[2] // heads
         outs = []
         for h in range(heads):
             s = h * width
             outs.append(T.scaled_dot_attention(
-                T.narrow(q, 1, s, width), T.narrow(k, 1, s, width),
-                T.narrow(v, 1, s, width)))
-        mixed = T.concat(outs, axis=1)
+                T.narrow(q, 2, s, width), T.narrow(k, 2, s, width),
+                T.narrow(v, 2, s, width)))
+        mixed = T.concat(outs, axis=2)
     return T.bias_add(T.matmul(mixed, params[pre + "wo"]), params[pre + "bo"])
 
 
 def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter]) -> Tensor:
-    """Run the pre-norm fusion transformer; token count in == token count out."""
-    if tokens.shape[1] != config.token_dim:
+    """Run the pre-norm fusion transformer over [B, N, token_dim] tokens,
+    each sequence attending within itself; token count in == token count out."""
+    if tokens.ndim != 3 or tokens.shape[2] != config.token_dim:
         raise ValueError(
-            f"token dim {tokens.shape[1]} does not match config token dim {config.token_dim}"
+            f"tokens of shape {tokens.shape} are not [B, N, {config.token_dim}]"
         )
     h = T.bias_add(T.matmul(tokens, params["fusion.input.w"]), params["fusion.input.b"])
     for i in range(config.blocks):
@@ -152,17 +155,17 @@ def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter
 
 
 def pool_output(outputs: Tensor, num_frames: int, num_entities: int, mode: str) -> Tensor:
-    """Reduce [T*E, d] fused tokens to [T, d] frame embeddings."""
+    """Reduce [B, T*E, d] fused tokens to [B, T, d] frame embeddings."""
     t, e = num_frames, num_entities
-    if outputs.shape[0] != t * e:
-        raise ValueError(f"expected {t * e} tokens, got {outputs.shape[0]}")
+    b, n, d = outputs.shape
+    if n != t * e:
+        raise ValueError(f"expected {t * e} tokens, got {n}")
     if mode == "cls_style":
         return T.take_rows(outputs, np.arange(t) * e)
     if mode == "average":
-        d = outputs.shape[1]
         mean_w = Tensor(np.full((1, e), 1.0 / e), dtype=outputs.dtype)
-        grouped = T.reshape(outputs, (t, e, d))
-        return T.reshape(T.matmul(mean_w, grouped), (t, d))
+        grouped = T.reshape(outputs, (b * t, e, d))
+        return T.reshape(T.matmul(mean_w, grouped, sequences=b), (b, t, d))
     raise ValueError(f"pooling must be one of {POOLING_MODES}, got {mode!r}")
 
 
@@ -184,15 +187,15 @@ def init_fixed_width_params(rng: np.random.Generator, channels: int,
 
 def split_frame_tokens(last_layer: np.ndarray, params: dict[str, Parameter],
                        num_splits: int, model_dim: int) -> EntitySet:
-    """Mean-pool a [T, S, D] grid per frame and split into N tokens per frame.
+    """Mean-pool a [B, T, S, D] grid per frame and split into N tokens per frame.
 
     The result mimics an entity set so the tokens proceed through ID
     tagging, fusion, and pooling exactly like pooled entities.
     """
-    t = last_layer.shape[0]
-    frame_vecs = last_layer.mean(axis=1)                           # [T, D]
+    b, t = last_layer.shape[:2]
+    frame_vecs = last_layer.mean(axis=2)                           # [B, T, D]
     x = Tensor(frame_vecs, dtype=params["split.w"].dtype)
-    split = T.bias_add(T.matmul(x, params["split.w"]), params["split.b"])  # [T, N*d]
-    tokens = T.reshape(split, (t * num_splits, model_dim))
+    split = T.bias_add(T.matmul(x, params["split.w"]), params["split.b"])  # [B, T, N*d]
+    tokens = T.reshape(split, (b, t * num_splits, model_dim))
     return EntitySet(features=tokens, num_frames=t, num_entities=num_splits,
                      attention=[])

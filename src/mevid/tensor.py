@@ -6,7 +6,17 @@ layer normalization, exact-erf GELU, concatenation, slicing, and a few
 elementwise helpers. Storage is float32; `grad_check` re-runs a graph in
 float64, where central finite differences are meaningful.
 
-Tensors are immutable after creation except for gradient accumulation.
+Sequence axis: a 3-D operand of `matmul`, `bias_add` or `layer_norm`
+stacks independent sequences along its leading axis. An operand broadcast
+over them (a weight, bias or affine) gets its gradient per sequence,
+exactly as the op would on that sequence alone, and the per-sequence
+partials are added from the last sequence to the first: the order in
+which a tape holding one op per sequence accumulates them. A batched
+forward therefore has the same gradients, bit for bit, as its sequences
+recorded one after another on one tape.
+
+Tensors are immutable after creation except for gradient accumulation
+and the optimizer's in-place update of a Parameter's data.
 A Tape and the tensors recorded on it belong to one thread of execution;
 independent tapes may run concurrently.
 """
@@ -171,11 +181,39 @@ def _same_dtype(*tensors: Tensor) -> None:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
+def _sum_sequences(partials: np.ndarray, sequences: int | None = None) -> np.ndarray:
+    """Reduce per-slice gradient partials [N, ...] to one gradient.
+
+    The N slices form `sequences` runs of equal length (default: one
+    sequence per slice). Each run is summed first to last, as one op over
+    that sequence sums its slices; the run totals are then added from the
+    last sequence to the first, as a tape of one op per sequence would.
+    """
+    if sequences is not None and sequences != len(partials):
+        partials = partials.reshape(sequences, -1, *partials.shape[1:]).sum(axis=1)
+    total = partials[-1].copy()
+    for part in partials[-2::-1]:
+        total += part
+    return total
+
+
+def _vector_grad(g: np.ndarray) -> np.ndarray:
+    """Gradient of a vector added along the trailing axis of g: rows are
+    summed, per sequence when g is 3-D."""
+    if g.ndim == 3:
+        return _sum_sequences(g.sum(axis=1))
+    return g.sum(axis=tuple(range(g.ndim - 1)))
+
+
+def matmul(a: Tensor, b: Tensor, high_precision: bool = False,
+           sequences: int | None = None) -> Tensor:
     """Matrix product; supports 2-D, batched 3-D, and 2-D/3-D mixes.
 
     With `high_precision` the contraction runs in float64 and rounds back,
     which keeps attention mixes stable under reorderings of the summed axis.
+    A 2-D operand broadcast over a 3-D one has its gradient reduced by
+    `_sum_sequences`; `sequences` says how many sequences the 3-D
+    operand's leading axis holds (default: one per slice).
     """
     _same_dtype(a, b)
     ashape, bshape = a.data.shape, b.data.shape
@@ -185,6 +223,11 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {ashape} x {bshape}")
     if a.ndim == 3 and b.ndim == 3 and ashape[0] != bshape[0]:
         raise ShapeError(f"matmul batch dimensions disagree: {ashape} x {bshape}")
+    if sequences is not None:
+        stacked = max(ashape[0] if a.ndim == 3 else 0, bshape[0] if b.ndim == 3 else 0)
+        if sequences < 1 or stacked % sequences:
+            raise ShapeError(
+                f"{sequences} sequences do not divide the stacked axis of {ashape} x {bshape}")
 
     if high_precision and a.data.dtype == np.float32:
         data = (a.data.astype(np.float64) @ b.data.astype(np.float64)).astype(np.float32)
@@ -198,11 +241,11 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
         if a.requires_grad:
             da = g @ np.swapaxes(b_arr, -1, -2)
             if da.ndim > a_arr.ndim:
-                da = da.sum(axis=tuple(range(da.ndim - a_arr.ndim)))
+                da = _sum_sequences(da, sequences)
         if b.requires_grad:
             db = np.swapaxes(a_arr, -1, -2) @ g
             if db.ndim > b_arr.ndim:
-                db = db.sum(axis=tuple(range(db.ndim - b_arr.ndim)))
+                db = _sum_sequences(db, sequences)
         return da, db
 
     return record_op(data, (a, b), backward)
@@ -231,16 +274,16 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D tensor by index."""
-    if x.ndim != 2:
-        raise ShapeError(f"take_rows needs a 2-D tensor, got shape {x.data.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    data = x.data[idx]
+    """Gather rows (the second-to-last axis) by index, in every leading slice."""
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"take_rows needs a 2-D or 3-D tensor, got shape {x.data.shape}")
+    rows = (Ellipsis, np.asarray(indices, dtype=np.int64), slice(None))
+    data = x.data[rows]
     xshape = x.data.shape
 
     def backward(g):
         dx = np.zeros(xshape, dtype=g.dtype)
-        np.add.at(dx, idx, g)
+        np.add.at(dx, rows, g)
         return (dx,)
 
     return record_op(data, (x,), backward)
@@ -341,11 +384,10 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"bias shape {b.data.shape} does not match trailing dim of {x.data.shape}"
         )
-    lead = tuple(range(x.ndim - 1))
 
     def backward(g):
         dx = g if x.requires_grad else None
-        db = g.sum(axis=lead) if b.requires_grad else None
+        db = _vector_grad(g) if b.requires_grad else None
         return dx, db
 
     return record_op(x.data + b.data, (x, b), backward)
@@ -360,6 +402,34 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full(xshape, g, dtype=g.dtype),)
 
     return record_op(data, (x,), backward)
+
+
+def sequence_sums(x: Tensor) -> Tensor:
+    """`sum_all` of each sequence: [B, ...] -> [B]."""
+    if x.ndim < 2:
+        raise ShapeError(f"sequence_sums needs a leading sequence axis, got {x.data.shape}")
+    data = np.array([part.sum(dtype=np.float64) for part in x.data], dtype=x.data.dtype)
+    xshape = x.data.shape
+
+    def backward(g):
+        per_sequence = g.reshape(g.shape + (1,) * (len(xshape) - 1))
+        return (np.broadcast_to(per_sequence, xshape).copy(),)
+
+    return record_op(data, (x,), backward)
+
+
+def sum_in_order(x: Tensor) -> Tensor:
+    """Sum of a vector, first entry to last, rounding after every add (as
+    a chain of `add` calls does)."""
+    if x.ndim != 1 or x.data.shape[0] == 0:
+        raise ShapeError(f"sum_in_order needs a non-empty vector, got {x.data.shape}")
+    data = np.add.accumulate(x.data)[-1]
+    size = x.data.shape[0]
+
+    def backward(g):
+        return (np.full(size, g, dtype=g.dtype),)
+
+    return record_op(np.asarray(data), (x,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -430,11 +500,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = centered * inv
     out = (xhat * gamma.data + beta.data).astype(x.data.dtype)
     g_arr = gamma.data
-    lead = tuple(range(x.ndim - 1))
 
     def backward(g):
-        dgamma = (g * xhat).sum(axis=lead) if gamma.requires_grad else None
-        dbeta = g.sum(axis=lead) if beta.requires_grad else None
+        dgamma = _vector_grad(g * xhat) if gamma.requires_grad else None
+        dbeta = _vector_grad(g) if beta.requires_grad else None
         dx = None
         if x.requires_grad:
             dxhat = g * g_arr
@@ -447,19 +516,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row of a 2-D tensor to unit Euclidean norm.
+    """Scale each row (along the last axis) of a 2-D or 3-D tensor to unit
+    Euclidean norm.
 
     Raises on (near-)zero rows: cosine similarity is undefined there.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"normalize_rows needs a 2-D tensor, got {x.data.shape}")
-    norms = np.sqrt((x.data.astype(np.float64) ** 2).sum(axis=1, keepdims=True))
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"normalize_rows needs a 2-D or 3-D tensor, got {x.data.shape}")
+    norms = np.sqrt((x.data.astype(np.float64) ** 2).sum(axis=-1, keepdims=True))
     if norms.min() < 1e-12:
         raise ValueError("normalize_rows: zero-norm row, cosine similarity undefined")
     out = (x.data / norms).astype(x.data.dtype)
 
     def backward(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner * out) / norms.astype(g.dtype),)
 
     return record_op(out, (x,), backward)

@@ -2,9 +2,10 @@
 sequence contrastive loss, Adam, and the single-process training loop.
 
 A batch is a set of videos; the loss is computed per video between its
-two sampled views and averaged, with no cross-video negatives. The whole
-loop is a pure function of (dataset, configs): repeated runs produce
-bit-identical parameters.
+two sampled views and averaged, with no cross-video negatives. A step
+runs all of its views through the model as one batch of sequences, on
+one tape. The whole loop is a pure function of (dataset, configs):
+repeated runs produce bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -87,13 +88,14 @@ def gaussian_targets(t_anchor: np.ndarray, t_other: np.ndarray, sigma: float,
 
 def _directed_kl(z_anchor: Tensor, z_other: Tensor, targets: np.ndarray,
                  temperature: float) -> Tensor:
+    """Per-video KL [B] from `targets` [B, N1, N2] to the predictions."""
     cos = T.matmul(T.normalize_rows(z_anchor), T.swap_last(T.normalize_rows(z_other)))
-    log_pred = T.log_softmax(T.scale(cos, 1.0 / temperature), axis=1)
+    log_pred = T.log_softmax(T.scale(cos, 1.0 / temperature), axis=2)
     g = np.maximum(targets.astype(np.float64), 1e-45)  # log-safe after f32 cast
-    entropy_term = float((g * np.log(g)).sum())
-    cross = T.sum_all(T.mul(Tensor(targets, dtype=z_anchor.dtype), log_pred))
-    gap = T.sub(Tensor(entropy_term, dtype=z_anchor.dtype), cross)
-    return T.scale(gap, 1.0 / targets.shape[0])
+    entropy_terms = [float((g_v * np.log(g_v)).sum()) for g_v in g]
+    cross = T.sequence_sums(T.mul(Tensor(targets, dtype=z_anchor.dtype), log_pred))
+    gap = T.sub(Tensor(entropy_terms, dtype=z_anchor.dtype), cross)
+    return T.scale(gap, 1.0 / targets.shape[1])
 
 
 def sequence_contrastive_loss(
@@ -105,16 +107,23 @@ def sequence_contrastive_loss(
     temperature: float,
 ) -> Tensor:
     """Mean KL from Gaussian timestamp targets to cosine-softmax
-    predictions, symmetrized over the two views. Nonnegative; zero exactly
-    when predictions equal targets in both directions.
+    predictions, symmetrized over the two views, averaged over videos.
+
+    `z1` [B, N1, d] and `z2` [B, N2, d] hold the two views of B videos,
+    with timestamps `t1` [B, N1] and `t2` [B, N2]. The per-video losses
+    are summed first to last in the embedding precision, then divided by
+    B. Nonnegative; zero exactly when predictions equal targets in both
+    directions for every video.
     """
-    if z1.shape[0] != len(t1) or z2.shape[0] != len(t2):
+    t1, t2 = np.asarray(t1), np.asarray(t2)
+    if z1.shape[:2] != t1.shape or z2.shape[:2] != t2.shape or z1.shape[0] != z2.shape[0]:
         raise ValueError("embedding counts do not match timestamp counts")
-    g12 = gaussian_targets(t1, t2, sigma, z1.dtype)
-    g21 = gaussian_targets(t2, t1, sigma, z1.dtype)
+    g12 = np.stack([gaussian_targets(a, b, sigma, z1.dtype) for a, b in zip(t1, t2)])
+    g21 = np.stack([gaussian_targets(b, a, sigma, z1.dtype) for a, b in zip(t1, t2)])
     forward = _directed_kl(z1, z2, g12, temperature)
     backward = _directed_kl(z2, z1, g21, temperature)
-    return T.scale(T.add(forward, backward), 0.5)
+    per_video = T.scale(T.add(forward, backward), 0.5)
+    return T.scale(T.sum_in_order(per_video), 1.0 / z1.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +139,8 @@ class AdamState:
 
 def adam_step(params: dict[str, Parameter], state: AdamState,
               config: TrainConfig) -> None:
-    """Standard Adam with bias correction, applied in parameter order."""
+    """Standard Adam with bias correction, updating parameters and moments
+    in place, in parameter order."""
     state.step += 1
     bc1 = 1.0 - config.beta1 ** state.step
     bc2 = 1.0 - config.beta2 ** state.step
@@ -146,8 +156,12 @@ def adam_step(params: dict[str, Parameter], state: AdamState,
         m += (1.0 - config.beta1) * g
         v *= config.beta2
         v += (1.0 - config.beta2) * (g * g)
-        denom = np.sqrt(v / bc2) + config.adam_eps
-        p.data = p.data - config.lr * (m / bc1) / denom
+        denom = np.sqrt(v / bc2)
+        denom += config.adam_eps
+        step = m / bc1
+        step *= config.lr
+        step /= denom
+        p.data -= step
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +205,7 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
             seeds = [int(rng.integers(2 ** 63)) for _ in batch]
 
             with Tape() as tape:
-                total = None
-                for video, view_seed in zip(batch, seeds):
-                    views = sample_two_views(video, config.view_len, view_seed)
-                    loss_v = _video_loss(model, video, views, config)
-                    total = loss_v if total is None else T.add(total, loss_v)
-                loss = T.scale(total, 1.0 / len(batch))
+                loss = _step_loss(model, batch, seeds, config)
 
             value = loss.item()
             if not np.isfinite(value):
@@ -208,18 +217,31 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
     return TrainResult(model=model, loss_trace=trace)
 
 
-def _video_loss(model: Model, video: VideoFeatures, views: TwoViews,
-                config: TrainConfig) -> Tensor:
+def _step_loss(model: Model, batch: list[VideoFeatures], seeds: list[int],
+               config: TrainConfig) -> Tensor:
+    """The batch's mean contrastive loss, from one forward over its 2·B views.
+
+    Views are stacked video by video (video 0 view 1, video 0 view 2,
+    video 1 view 1, ...), the order in which one-view-at-a-time forwards
+    would be recorded, so every float of the step equals that of such a
+    run (see the sequence axis in `tensor`).
+    """
+    views = [sample_two_views(video, config.view_len, seed)
+             for video, seed in zip(batch, seeds)]
+    picks = [(video, idx) for video, v in zip(batch, views)
+             for idx in (v.indices1, v.indices2)]
+    layers = [np.stack([video.layers[l][idx] for video, idx in picks])
+              for l in range(len(batch[0].layers))]
     # The position code sees view-local indices only; the loss targets use
     # the original timestamps. A code that named the true frame index would
     # let the fusion model fit the Gaussian targets from position alone,
     # with no pressure to read the frame content.
-    positions = np.arange(config.view_len)
-    z = []
-    for idx in (views.indices1, views.indices2):
-        layers = [np.ascontiguousarray(layer[idx]) for layer in video.layers]
-        pooled = model.embed_frames(layers, positions)
-        z.append(model.project(pooled))
+    positions = np.tile(np.arange(config.view_len), (len(picks), 1))
+    z = model.project(model.embed_frames(layers, positions))    # [2B, N, d]
+    b, n, d = len(batch), config.view_len, z.shape[2]
+    pairs = T.reshape(z, (b, 2, n, d))
+    z1, z2 = (T.reshape(T.narrow(pairs, 1, i, 1), (b, n, d)) for i in (0, 1))
     return sequence_contrastive_loss(
-        z[0], views.timestamps1, z[1], views.timestamps2,
+        z1, np.stack([v.timestamps1 for v in views]),
+        z2, np.stack([v.timestamps2 for v in views]),
         config.scl_sigma, config.scl_temperature)

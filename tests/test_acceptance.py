@@ -74,14 +74,14 @@ def test_criterion_1_gradient_suite():
                          proj_hidden=4, proj_dim=6)
     model = Model(config, np.random.default_rng(1))
     idx1, idx2 = np.array([0, 2]), np.array([1, 3])  # two 2-frame views
-    layers1 = [l[idx1] for l in toy.layers]
-    layers2 = [l[idx2] for l in toy.layers]
+    layers1 = [l[idx1][None] for l in toy.layers]
+    layers2 = [l[idx2][None] for l in toy.layers]
 
     def pipeline_loss(params):
         model.params = params
-        z1 = model.project(model.embed_frames(layers1, np.arange(2)))
-        z2 = model.project(model.embed_frames(layers2, np.arange(2)))
-        return tr.sequence_contrastive_loss(z1, idx1, z2, idx2, 1.5, 0.2)
+        z1 = model.project(model.embed_frames(layers1, np.arange(2)[None]))
+        z2 = model.project(model.embed_frames(layers2, np.arange(2)[None]))
+        return tr.sequence_contrastive_loss(z1, idx1[None], z2, idx2[None], 1.5, 0.2)
 
     start = time.monotonic()
     result = grad_check(pipeline_loss, model.params, step=1e-6, tol=1e-5)
@@ -103,7 +103,7 @@ def test_criterion_2_attention_invariants():
         video_id="v", num_frames=3,
         layers=[rng.standard_normal((3, 16, 8)).astype(np.float32) for _ in range(2)],
         timestamps=np.arange(3))
-    ents = extract_entities_from_arrays(video.layers, params)
+    ents = extract_entities_from_arrays([l[None] for l in video.layers], params)
     row_sums_ok = all(
         np.abs(ents.attention_array(l).sum(axis=2) - 1.0).max() < 1e-5
         for l in range(2))
@@ -118,8 +118,9 @@ def test_criterion_2_attention_invariants():
         for name in (f"pool.layer{l}.key_proj", f"pool.layer{l}.value_proj"):
             other[name].data = params[name].data.copy()
     other["pool.out_proj"].data = params["pool.out_proj"].data.copy()
-    out_a = extract_entities_from_arrays(degenerate.layers, params).features.data
-    out_b = extract_entities_from_arrays(degenerate.layers, other).features.data
+    one_sequence = [l[None] for l in degenerate.layers]
+    out_a = extract_entities_from_arrays(one_sequence, params).features.data
+    out_b = extract_entities_from_arrays(one_sequence, other).features.data
     collapse_ok = np.abs(out_a - out_b).max() < 1e-5
 
     report(2, "attention rows stochastic; identical tokens erase the queries",
@@ -137,13 +138,13 @@ def test_criterion_3_permutation_invariants():
     rng = np.random.default_rng(4)
     params = tf.init_fusion_params(rng, config)
     t, e = 5, 3
-    feats = rng.standard_normal((t * e, config.model_dim)).astype(np.float32)
+    feats = rng.standard_normal((1, t * e, config.model_dim)).astype(np.float32)
     ents = EntitySet(features=Tensor(feats), num_frames=t, num_entities=e,
                      attention=[])
-    tokens = tf.build_frame_tokens(ents, config, np.arange(t)).data
+    tokens = tf.build_frame_tokens(ents, config, np.arange(t)[None]).data[0]
 
     def pooled(arr, mode):
-        return tf.pool_output(tf.fuse_tokens(Tensor(arr), config, params),
+        return tf.pool_output(tf.fuse_tokens(Tensor(arr[None]), config, params),
                               t, e, mode).data
 
     swap12 = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
@@ -245,6 +246,13 @@ def test_criterion_5_metric_oracles():
 # criterion 6: contrastive-loss properties
 
 
+def loss_of_one_video(z1, t1, z2, t2, sigma, tau):
+    """`sequence_contrastive_loss` of a batch holding one video."""
+    return tr.sequence_contrastive_loss(
+        T.reshape(z1, (1, *z1.shape)), np.asarray(t1)[None],
+        T.reshape(z2, (1, *z2.shape)), np.asarray(t2)[None], sigma, tau)
+
+
 def test_criterion_6_scl_properties():
     rng = np.random.default_rng(6)
     nonneg = True
@@ -255,7 +263,7 @@ def test_criterion_6_scl_properties():
         z2 = Tensor(rng.standard_normal((n2, 4)).astype(np.float32))
         t1 = np.sort(rng.choice(16, n1, replace=False))
         t2 = np.sort(rng.choice(16, n2, replace=False))
-        value = tr.sequence_contrastive_loss(z1, t1, z2, t2, 3.0, 0.1).item()
+        value = loss_of_one_video(z1, t1, z2, t2, 3.0, 0.1).item()
         min_seen = min(min_seen, value)
         nonneg &= value >= 0.0
 
@@ -267,19 +275,19 @@ def test_criterion_6_scl_properties():
     for i in range(2):
         kappa = -u[i].mean() + math.sqrt((1.0 - ((u[i] - u[i].mean()) ** 2).sum()) / 2)
         a[i] = u[i] + kappa
-    exact = tr.sequence_contrastive_loss(
+    exact = loss_of_one_video(
         Tensor(a.astype(np.float32)), t, Tensor(np.eye(2, dtype=np.float32)), t,
         sigma, tau).item()
 
     z1 = rng.standard_normal((4, 5)).astype(np.float32)
     z2 = rng.standard_normal((4, 5)).astype(np.float32)
     t1, t2 = np.arange(4), np.arange(4) + 1
-    base = tr.sequence_contrastive_loss(Tensor(z1), t1, Tensor(z2), t2, 2.0, 0.1).item()
+    base = loss_of_one_video(Tensor(z1), t1, Tensor(z2), t2, 2.0, 0.1).item()
     scaled = z1.copy()
     scaled[0] *= 31.0
-    rescale_gap = abs(tr.sequence_contrastive_loss(
+    rescale_gap = abs(loss_of_one_video(
         Tensor(scaled), t1, Tensor(z2), t2, 2.0, 0.1).item() - base)
-    shift_gap = abs(tr.sequence_contrastive_loss(
+    shift_gap = abs(loss_of_one_video(
         Tensor(z1), t1 + 500, Tensor(z2), t2 + 500, 2.0, 0.1).item() - base)
 
     report(6, "loss >= 0 on 1000 inputs, 0 at matched targets, invariances hold",

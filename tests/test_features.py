@@ -179,6 +179,25 @@ class TestMvffFormat:
         with pytest.raises(FormatError, match="8 trailing bytes"):
             load_mvff(path)
 
+    def test_non_finite_values_rejected(self, tmp_path):
+        video = generate_synthetic_dataset(SMALL)[0]
+        path, _ = self._roundtrip(tmp_path, video)
+        clean = path.read_bytes()
+        t, l, s, d = video.num_frames, len(video.layers), *video.layers[0].shape[1:]
+        header, payload = 24, t * l * s * d * 4
+        for offset, value, message in [
+            (header, np.nan, r"1 non-finite feature values; .* = \[0, 0, 0, 0\]"),
+            (header + 4 * (l * s * d + s * d + 2), np.inf,
+             r"1 non-finite feature values; .* = \[1, 1, 0, 2\]"),
+            (header + payload + 1 + 4 * t + 4 * 3, -np.inf,
+             r"1 non-finite progression values; .* = \[3\]"),
+        ]:
+            raw = bytearray(clean)
+            raw[offset:offset + 4] = np.float32(value).tobytes()
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match=message):
+                load_mvff(path)
+
     def test_bad_label_flag(self, tmp_path):
         t, s, d = 2, 1, 1
         video = VideoFeatures(video_id="v", num_frames=t,

@@ -13,6 +13,11 @@ def make_features(rng, t=3, s=16, d=8, layers=2):
         timestamps=np.arange(t))
 
 
+def one_sequence(layers):
+    """[T, S, D] grids as a batch of one sequence."""
+    return [layer[None] for layer in layers]
+
+
 def make_params(rng, layers=2, d=8, e=2, d_q=4, d_v=4, d_model=6):
     return sp.init_pooling_params(rng, layers, d, e, d_q, d_v, d_model)
 
@@ -20,7 +25,8 @@ def make_params(rng, layers=2, d=8, e=2, d_q=4, d_v=4, d_model=6):
 class TestExtractEntities:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        ents = sp.extract_entities_from_arrays(make_features(rng).layers, make_params(rng))
+        ents = sp.extract_entities_from_arrays(one_sequence(make_features(rng).layers),
+                                               make_params(rng))
         for layer in range(2):
             att = ents.attention_array(layer)
             assert np.abs(att.sum(axis=2) - 1.0).max() < 1e-5
@@ -41,8 +47,8 @@ class TestExtractEntities:
                 params_b[name].data = params_a[name].data.copy()
         params_b["pool.out_proj"].data = params_a["pool.out_proj"].data.copy()
 
-        out_a = sp.extract_entities_from_arrays(video.layers, params_a).features.data
-        out_b = sp.extract_entities_from_arrays(video.layers, params_b).features.data
+        out_a = sp.extract_entities_from_arrays(one_sequence(video.layers), params_a).features.data
+        out_b = sp.extract_entities_from_arrays(one_sequence(video.layers), params_b).features.data
         assert np.abs(out_a - out_b).max() < 1e-5
 
         # and the value equals the token's projections pushed through out_proj
@@ -66,10 +72,10 @@ class TestExtractEntities:
             tokens[0, j] = basis[:, (j - 1) % 3]
         video = VideoFeatures(video_id="v", num_frames=1, layers=[tokens],
                               timestamps=np.arange(1))
-        ents = sp.extract_entities_from_arrays(video.layers, params)
+        ents = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
         expected = ((tokens[0, 0] @ params["pool.layer0.value_proj"].data)
                     @ params["pool.out_proj"].data)
-        assert np.abs(ents.features.data[0] - expected).max() < 1e-4
+        assert np.abs(ents.features.data[0, 0] - expected).max() < 1e-4
 
     def test_time_constancy(self):
         rng = np.random.default_rng(5)
@@ -77,9 +83,9 @@ class TestExtractEntities:
         layers = [np.concatenate([frame, frame], axis=0) for _ in range(2)]
         video = VideoFeatures(video_id="v", num_frames=2, layers=layers,
                               timestamps=np.arange(2))
-        ents = sp.extract_entities_from_arrays(video.layers, make_params(rng))
+        ents = sp.extract_entities_from_arrays(one_sequence(video.layers), make_params(rng))
         e = ents.num_entities
-        assert np.array_equal(ents.features.data[:e], ents.features.data[e:])
+        assert np.array_equal(ents.features.data[0, :e], ents.features.data[0, e:])
 
     def test_token_permutation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -90,8 +96,8 @@ class TestExtractEntities:
             video_id="v", num_frames=2,
             layers=[layer[:, perm] for layer in video.layers],
             timestamps=np.arange(2))
-        base = sp.extract_entities_from_arrays(video.layers, params)
-        swapped = sp.extract_entities_from_arrays(permuted.layers, params)
+        base = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
+        swapped = sp.extract_entities_from_arrays(one_sequence(permuted.layers), params)
         assert np.abs(base.features.data - swapped.features.data).max() < 1e-6
         for layer in range(2):
             att_a = base.attention_array(layer)[:, :, perm]
@@ -108,7 +114,7 @@ class TestExtractEntities:
                                   layers=[grids.astype(np.float32)],
                                   timestamps=np.arange(3))
             params = sp.init_pooling_params(rng, 1, d, 3, 8, 8, 8)
-            ents = sp.extract_entities_from_arrays(video.layers, params)
+            ents = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
             assert ents.attention_array(0).max() < 0.9
 
     def test_gradients(self):
@@ -117,7 +123,7 @@ class TestExtractEntities:
         params = sp.init_pooling_params(rng, 2, 5, 2, 3, 3, 4)
 
         def f(p):
-            out = sp.extract_entities_from_arrays(video.layers, p)
+            out = sp.extract_entities_from_arrays(one_sequence(video.layers), p)
             from mevid import tensor as T
             return T.sum_all(T.mul(out.features, out.features))
 
@@ -128,13 +134,13 @@ class TestExtractEntities:
         rng = np.random.default_rng(8)
         video = make_features(rng, layers=1)
         with pytest.raises(ValueError, match="layers"):
-            sp.extract_entities_from_arrays(video.layers, make_params(rng, layers=2))
+            sp.extract_entities_from_arrays(one_sequence(video.layers), make_params(rng, layers=2))
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(9)
         video = make_features(rng, d=6)
         with pytest.raises(ValueError, match="channels"):
-            sp.extract_entities_from_arrays(video.layers, make_params(rng, d=8))
+            sp.extract_entities_from_arrays(one_sequence(video.layers), make_params(rng, d=8))
 
     def test_single_entity_gradients(self):
         rng = np.random.default_rng(13)
@@ -142,7 +148,7 @@ class TestExtractEntities:
         params = sp.init_pooling_params(rng, 1, 5, 1, 3, 3, 4)
 
         def f(p):
-            out = sp.extract_entities_from_arrays(video.layers, p)
+            out = sp.extract_entities_from_arrays(one_sequence(video.layers), p)
             from mevid import tensor as T
             return T.sum_all(T.mul(out.features, out.features))
 
@@ -190,7 +196,7 @@ class TestAttentionExport:
     def test_attention_map_from_entity_set(self):
         rng = np.random.default_rng(1)
         video = make_features(rng, s=16)
-        ents = sp.extract_entities_from_arrays(video.layers, make_params(rng))
+        ents = sp.extract_entities_from_arrays(one_sequence(video.layers), make_params(rng))
         amap = sp.attention_map(ents, frame=1, entity=0, layer=1, grid_side=4)
         assert amap.values.shape == (4, 4)
         assert abs(amap.values.sum() - 1.0) < 1e-5

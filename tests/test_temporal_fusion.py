@@ -19,15 +19,21 @@ CFG = ModelConfig(num_entities=3, model_dim=8, blocks=3, heads=2, mlp_ratio=2)
 
 
 def entity_set(rng, t=4, e=3, d=8):
-    feats = rng.standard_normal((t * e, d)).astype(np.float32)
+    """One sequence of T frames with E entities each."""
+    feats = rng.standard_normal((1, t * e, d)).astype(np.float32)
     return EntitySet(features=Tensor(feats), num_frames=t, num_entities=e, attention=[])
+
+
+def frames(t):
+    """Timestamps 0..t-1 of one sequence."""
+    return np.arange(t)[None]
 
 
 class TestBuildFrameTokens:
     def test_id_suffix(self):
         rng = np.random.default_rng(0)
         ents = entity_set(rng)
-        tokens = tf.build_frame_tokens(ents, CFG, np.arange(4)).data
+        tokens = tf.build_frame_tokens(ents, CFG, frames(4)).data[0]
         assert tokens.shape == (12, CFG.model_dim + 3)
         # position code is zero on the ID coordinates, so the suffix survives
         ids = tokens[:, CFG.model_dim:]
@@ -37,17 +43,17 @@ class TestBuildFrameTokens:
     def test_frame_zero_code_is_sin0_cos1(self):
         rng = np.random.default_rng(1)
         ents = entity_set(rng, t=2)
-        tokens = tf.build_frame_tokens(ents, CFG, np.arange(2)).data
-        pe0 = tokens[0, : CFG.model_dim] - ents.features.data[0]
+        tokens = tf.build_frame_tokens(ents, CFG, frames(2)).data[0]
+        pe0 = tokens[0, : CFG.model_dim] - ents.features.data[0, 0]
         assert np.allclose(pe0[0::2], 0.0, atol=1e-6)
         assert np.allclose(pe0[1::2], 1.0, atol=1e-6)
 
     def test_identical_frames_differ_only_by_position_code(self):
         rng = np.random.default_rng(2)
         frame = rng.standard_normal((3, CFG.model_dim)).astype(np.float32)
-        ents = EntitySet(features=Tensor(np.tile(frame, (2, 1))), num_frames=2,
+        ents = EntitySet(features=Tensor(np.tile(frame, (1, 2, 1))), num_frames=2,
                          num_entities=3, attention=[])
-        tokens = tf.build_frame_tokens(ents, CFG, np.arange(2)).data
+        tokens = tf.build_frame_tokens(ents, CFG, frames(2)).data[0]
         diff = tokens[3:] - tokens[:3]
         assert np.allclose(diff, diff[0], atol=1e-6)  # same shift for all entities
         assert np.allclose(diff[:, CFG.model_dim:], 0.0)
@@ -55,7 +61,7 @@ class TestBuildFrameTokens:
     def test_entity_count_mismatch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="E="):
-            tf.build_frame_tokens(entity_set(rng, e=2), CFG, np.arange(4))
+            tf.build_frame_tokens(entity_set(rng, e=2), CFG, frames(4))
 
 
 class TestFusion:
@@ -67,51 +73,51 @@ class TestFusion:
         for t, e in [(2, 3), (5, 3)]:
             rng = np.random.default_rng(t)
             tokens = tf.build_frame_tokens(entity_set(rng, t=t, e=e),
-                                           CFG, np.arange(t))
+                                           CFG, frames(t))
             out = tf.fuse_tokens(tokens, CFG, params)
-            assert out.shape == (t * e, CFG.model_dim)
+            assert out.shape == (1, t * e, CFG.model_dim)
 
     def test_within_frame_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         params = self._params()
         t, e = 5, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, np.arange(t)).data
+        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, frames(t)).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
-        base = tf.fuse_tokens(Tensor(tokens), CFG, params).data
-        swapped = tf.fuse_tokens(Tensor(tokens[perm]), CFG, params).data
+        base = tf.fuse_tokens(Tensor(tokens[None]), CFG, params).data[0]
+        swapped = tf.fuse_tokens(Tensor(tokens[perm][None]), CFG, params).data[0]
         assert np.array_equal(base[perm], swapped)
 
     def test_cls_pooling_bitwise_invariant_fixing_entity_zero(self):
         rng = np.random.default_rng(5)
         params = self._params()
         t, e = 5, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, np.arange(t)).data
+        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, frames(t)).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
         pool = lambda arr: tf.pool_output(
-            tf.fuse_tokens(Tensor(arr), CFG, params), t, e, "cls_style").data
+            tf.fuse_tokens(Tensor(arr[None]), CFG, params), t, e, "cls_style").data
         assert np.array_equal(pool(tokens), pool(tokens[perm]))
 
     def test_average_pooling_invariant_any_permutation(self):
         rng = np.random.default_rng(6)
         params = self._params()
         t, e = 4, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, np.arange(t)).data
+        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, frames(t)).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [2, 0, 1]].reshape(-1)
         pool = lambda arr: tf.pool_output(
-            tf.fuse_tokens(Tensor(arr), CFG, params), t, e, "average").data
+            tf.fuse_tokens(Tensor(arr[None]), CFG, params), t, e, "average").data
         assert np.abs(pool(tokens) - pool(tokens[perm])).max() < 1e-6
 
     def test_gradients_through_build_fuse_pool(self):
         small = ModelConfig(num_entities=2, model_dim=4, blocks=2, heads=2,
                             mlp_ratio=2)
         rng = np.random.default_rng(7)
-        feats = rng.standard_normal((4 * 2, 4)).astype(np.float32)
+        feats = rng.standard_normal((1, 4 * 2, 4)).astype(np.float32)
         params = tf.init_fusion_params(rng, small)
 
         def f(p):
             ents = EntitySet(features=Tensor(feats, dtype=p["fusion.input.w"].dtype),
                              num_frames=4, num_entities=2, attention=[])
-            tokens = tf.build_frame_tokens(ents, small, np.arange(4))
+            tokens = tf.build_frame_tokens(ents, small, frames(4))
             out = tf.pool_output(tf.fuse_tokens(tokens, small, p), 4, 2, "average")
             return T.sum_all(T.mul(out, out))
 
@@ -122,25 +128,25 @@ class TestFusion:
 class TestPooling:
     def test_single_entity_modes_agree(self):
         rng = np.random.default_rng(8)
-        out = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
+        out = Tensor(rng.standard_normal((1, 6, 5)).astype(np.float32))
         a = tf.pool_output(out, 6, 1, "cls_style").data
         b = tf.pool_output(out, 6, 1, "average").data
         assert np.allclose(a, b, atol=1e-7)
 
     def test_average_of_identical_tokens(self):
         row = np.random.default_rng(9).standard_normal((1, 5)).astype(np.float32)
-        out = Tensor(np.tile(row, (6, 1)))
-        pooled = tf.pool_output(out, 2, 3, "average").data
+        out = Tensor(np.tile(row, (1, 6, 1)))
+        pooled = tf.pool_output(out, 2, 3, "average").data[0]
         assert np.allclose(pooled, np.tile(row, (2, 1)), atol=1e-6)
 
     def test_cls_returns_entity_zero_exactly(self):
         rng = np.random.default_rng(10)
         arr = rng.standard_normal((8, 5)).astype(np.float32)
-        pooled = tf.pool_output(Tensor(arr), 4, 2, "cls_style").data
+        pooled = tf.pool_output(Tensor(arr[None]), 4, 2, "cls_style").data[0]
         assert np.array_equal(pooled, arr[0::2])
 
     def test_bad_mode_and_count(self):
-        out = Tensor(np.zeros((6, 4)))
+        out = Tensor(np.zeros((1, 6, 4)))
         with pytest.raises(ValueError, match="pooling"):
             tf.pool_output(out, 2, 3, "max")
         with pytest.raises(ValueError, match="tokens"):
@@ -150,10 +156,10 @@ class TestPooling:
 class TestFixedWidthBaseline:
     def test_token_count_matches_entity_width(self):
         rng = np.random.default_rng(11)
-        last = rng.standard_normal((5, 16, 6)).astype(np.float32)
+        last = rng.standard_normal((1, 5, 16, 6)).astype(np.float32)
         params = tf.init_fixed_width_params(rng, 6, 3, CFG.model_dim)
         ents = tf.split_frame_tokens(last, params, 3, CFG.model_dim)
-        assert ents.features.shape == (15, CFG.model_dim)
+        assert ents.features.shape == (1, 15, CFG.model_dim)
         assert ents.num_entities == 3
 
     def test_identity_split_gives_equal_tokens(self):
@@ -164,7 +170,7 @@ class TestFixedWidthBaseline:
         params = tf.init_fixed_width_params(rng, d, 3, d)
         params["split.w"].data = np.concatenate([np.eye(d, dtype=np.float32)] * 3, axis=1)
         params["split.b"].data = np.zeros(3 * d, dtype=np.float32)
-        ents = tf.split_frame_tokens(last, params, 3, d)
+        ents = tf.split_frame_tokens(last[None], params, 3, d)
         grouped = ents.features.data.reshape(3, 3, d)
         frame_mean = last.mean(axis=1)
         for n in range(3):
@@ -205,9 +211,9 @@ class TestDeterminismAndCheckpoint:
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
         rng = np.random.default_rng(0)
-        layers = [rng.standard_normal((3, 4, 8)).astype(np.float32) for _ in range(2)]
-        out1 = m1.embed_frames(layers, np.arange(3)).data
-        out2 = m2.embed_frames(layers, np.arange(3)).data
+        layers = [rng.standard_normal((1, 3, 4, 8)).astype(np.float32) for _ in range(2)]
+        out1 = m1.embed_frames(layers, frames(3)).data
+        out2 = m2.embed_frames(layers, frames(3)).data
         assert np.array_equal(out1, out2)
 
     def test_checkpoint_round_trip(self):

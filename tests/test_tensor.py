@@ -265,13 +265,18 @@ class TestGradCheck:
         "name",
         ["matmul", "softmax", "log_softmax", "layer_norm", "gelu", "add", "sub",
          "mul", "scale", "bias_add", "concat", "narrow", "take_rows", "reshape",
-         "swap_last", "normalize_rows", "attention"],
+         "swap_last", "normalize_rows", "attention", "matmul_seq", "matmul_seq_left",
+         "matmul_grouped", "matmul_grouped_left", "bias_add_seq", "layer_norm_seq",
+         "take_rows_seq", "normalize_rows_seq", "attention_seq", "sequence_sums",
+         "sum_in_order"],
     )
     def test_every_op_grad(self, name):
         rng = np.random.default_rng(hash(name) % 2 ** 31)
         x = Parameter("x", rng.uniform(-1, 1, (3, 4)))
         w = Parameter("w", rng.uniform(-1, 1, (4, 4)))
         b = Parameter("b", rng.uniform(-1, 1, 4))
+        # three sequences of three rows; "_seq" cases stack them on axis 0
+        xs = Parameter("xs", rng.uniform(-1, 1, (3, 3, 4)))
 
         builders = {
             "matmul": lambda p: T.matmul(p["x"], p["w"]),
@@ -291,11 +296,25 @@ class TestGradCheck:
             "swap_last": lambda p: T.swap_last(p["x"]),
             "normalize_rows": lambda p: T.normalize_rows(p["x"]),
             "attention": lambda p: T.scaled_dot_attention(p["x"], p["x"], p["x"]),
+            "matmul_seq": lambda p: T.matmul(p["xs"], p["w"]),
+            "matmul_seq_left": lambda p: T.matmul(p["w"], T.swap_last(p["xs"])),
+            "matmul_grouped": lambda p: T.matmul(T.reshape(p["xs"], (9, 1, 4)), p["w"],
+                                                 sequences=3),
+            "matmul_grouped_left": lambda p: T.matmul(
+                p["w"], T.reshape(p["xs"], (9, 4, 1)), sequences=3),
+            "bias_add_seq": lambda p: T.bias_add(p["xs"], p["b"]),
+            "layer_norm_seq": lambda p: T.layer_norm(p["xs"], p["b"], p["b"]),
+            "take_rows_seq": lambda p: T.take_rows(p["xs"], np.array([2, 0, 2])),
+            "normalize_rows_seq": lambda p: T.normalize_rows(p["xs"]),
+            "attention_seq": lambda p: T.scaled_dot_attention(p["xs"], p["xs"], p["xs"]),
+            "sequence_sums": lambda p: T.sequence_sums(T.mul(p["xs"], p["xs"])),
+            "sum_in_order": lambda p: T.sum_in_order(T.mul(p["b"], p["b"])),
         }
 
         # weight by a fixed random tensor so no case degenerates to a
         # constant (e.g. normalized rows have constant squared norm)
-        probe_shape = builders[name]({"x": x, "w": w, "b": b}).shape
+        params = {"x": x, "w": w, "b": b, "xs": xs}
+        probe_shape = builders[name](params).shape
         weights = np.random.default_rng(0).uniform(-1, 1, probe_shape)
 
         def f(p):
@@ -303,8 +322,45 @@ class TestGradCheck:
             c = Tensor(weights, dtype=out.dtype)
             return T.add(T.sum_all(T.mul(out, c)), T.sum_all(T.mul(out, out)))
 
-        report = grad_check(f, {"x": x, "w": w, "b": b})
+        report = grad_check(f, params)
         assert report.passed, f"{name}: {report}"
+
+    @pytest.mark.parametrize("name", ["matmul", "matmul_left", "matmul_grouped",
+                                      "bias_add", "layer_norm"])
+    def test_sequence_axis_matches_one_op_per_sequence(self, name):
+        # the gradient of an operand broadcast over stacked sequences equals,
+        # bit for bit, what a tape holding one op per sequence accumulates
+        rng = np.random.default_rng(11)
+        xs = rng.standard_normal((6, 2, 4, 4)).astype(np.float32)  # 6 sequences, 2 frames
+        up = rng.standard_normal((6, 2, 4, 4)).astype(np.float32)
+        shape = (4,) if name in ("bias_add", "layer_norm") else (4, 4)
+        init = rng.standard_normal((2, *shape)).astype(np.float32)
+        ops = {
+            "matmul": lambda x, p, q, seqs: T.matmul(x, p, sequences=seqs),
+            "matmul_left": lambda x, p, q, seqs: T.matmul(p, x, sequences=seqs),
+            "matmul_grouped": lambda x, p, q, seqs: T.matmul(x, p, sequences=seqs),
+            "bias_add": lambda x, p, q, seqs: T.bias_add(x, p),
+            "layer_norm": lambda x, p, q, seqs: T.layer_norm(x, p, q),
+        }
+        grouped = name == "matmul_grouped"
+
+        def grad(parts):
+            p, q = Parameter("p", init[0]), Parameter("q", init[1])
+            with Tape() as tape:
+                loss = None
+                for x, g, seqs in parts:
+                    part = T.sum_all(T.mul(ops[name](Tensor(x), p, q, seqs), Tensor(g)))
+                    loss = part if loss is None else T.add(loss, part)
+            tape.backward(loss)
+            return p.grad.tobytes(), q.grad.tobytes()
+
+        if grouped:
+            batched = [(xs.reshape(12, 4, 4), up.reshape(12, 4, 4), 6)]
+            one_by_one = [(xs[s], up[s], 1) for s in range(6)]
+        else:
+            batched = [(xs[:, 0], up[:, 0], None)]
+            one_by_one = [(xs[s, 0], up[s, 0], None) for s in range(6)]
+        assert grad(batched) == grad(one_by_one)
 
 
 class TestMisc:

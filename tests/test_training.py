@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from mevid import tensor as T
 from mevid import training as tr
 from mevid.features import SyntheticSpec, generate_synthetic_dataset
 from mevid.model import Model, ModelConfig, save_checkpoint_bytes
-from mevid.config import parse_config_text
+from mevid.config import RunConfig, parse_config_text
 from mevid.pipeline import SeedOutcome, aggregate_trials, dataset_from_config, run_single
-from mevid.tensor import Parameter, Tensor
+from mevid.tensor import Parameter, Tape, Tensor
 
 SPEC = SyntheticSpec(num_videos=4, frames_per_video=16, grid_side=4, channels=8,
                      num_phases=3, num_layers=2, actor_patch_side=2,
@@ -16,6 +17,13 @@ SPEC = SyntheticSpec(num_videos=4, frames_per_video=16, grid_side=4, channels=8,
 MODEL = ModelConfig(num_entities=2, num_layers=2, channels=8, query_dim=4,
                     value_dim=4, model_dim=8, heads=2, mlp_ratio=2,
                     proj_hidden=8, proj_dim=8)
+
+
+def loss_of_one_video(z1, t1, z2, t2, sigma, tau):
+    """`sequence_contrastive_loss` of a batch holding one video."""
+    return tr.sequence_contrastive_loss(
+        T.reshape(z1, (1, *z1.shape)), np.asarray(t1)[None],
+        T.reshape(z2, (1, *z2.shape)), np.asarray(t2)[None], sigma, tau)
 
 
 def small_train_config(**over):
@@ -78,7 +86,7 @@ class TestSequenceContrastiveLoss:
             assert abs(np.linalg.norm(a[i]) - 1.0) < 1e-12
         z1 = Tensor(a.astype(np.float32))
         z2 = Tensor(np.eye(2, dtype=np.float32))
-        loss = tr.sequence_contrastive_loss(z1, t, z2, t, sigma, tau)
+        loss = loss_of_one_video(z1, t, z2, t, sigma, tau)
         assert 0.0 <= loss.item() < 1e-6
 
     def test_gaussian_target_values_and_kl(self):
@@ -95,8 +103,8 @@ class TestSequenceContrastiveLoss:
         # the reverse direction has single-column targets with zero KL
         z1 = Tensor(np.array([[1.0, 0.0]], dtype=np.float32))
         z2 = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=np.float32))
-        loss = tr.sequence_contrastive_loss(z1, np.array([0]), z2,
-                                            np.array([0, 1]), sigma, 1.0)
+        loss = loss_of_one_video(z1, np.array([0]), z2,
+                                 np.array([0, 1]), sigma, 1.0)
         assert abs(loss.item() - 0.5 * kl) < 1e-5
 
     def test_nonnegative_on_random_inputs(self):
@@ -107,7 +115,7 @@ class TestSequenceContrastiveLoss:
             z2 = Tensor(rng.standard_normal((n2, 5)).astype(np.float32))
             t1 = np.sort(rng.choice(20, n1, replace=False))
             t2 = np.sort(rng.choice(20, n2, replace=False))
-            loss = tr.sequence_contrastive_loss(z1, t1, z2, t2, 3.0, 0.1)
+            loss = loss_of_one_video(z1, t1, z2, t2, 3.0, 0.1)
             assert loss.item() >= 0.0
 
     def test_invariant_to_positive_rescaling(self):
@@ -115,10 +123,10 @@ class TestSequenceContrastiveLoss:
         z1 = rng.standard_normal((4, 6)).astype(np.float32)
         z2 = rng.standard_normal((4, 6)).astype(np.float32)
         t1, t2 = np.arange(4), np.arange(4) + 2
-        base = tr.sequence_contrastive_loss(Tensor(z1), t1, Tensor(z2), t2, 2.0, 0.1)
+        base = loss_of_one_video(Tensor(z1), t1, Tensor(z2), t2, 2.0, 0.1)
         scaled = z1.copy()
         scaled[2] *= 117.0
-        out = tr.sequence_contrastive_loss(Tensor(scaled), t1, Tensor(z2), t2, 2.0, 0.1)
+        out = loss_of_one_video(Tensor(scaled), t1, Tensor(z2), t2, 2.0, 0.1)
         assert abs(base.item() - out.item()) < 1e-6
 
     def test_invariant_to_timestamp_translation(self):
@@ -126,15 +134,36 @@ class TestSequenceContrastiveLoss:
         z1 = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
         z2 = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
         t1, t2 = np.arange(4), np.array([1, 3, 5, 7])
-        a = tr.sequence_contrastive_loss(z1, t1, z2, t2, 2.0, 0.1)
-        b = tr.sequence_contrastive_loss(z1, t1 + 1000, z2, t2 + 1000, 2.0, 0.1)
+        a = loss_of_one_video(z1, t1, z2, t2, 2.0, 0.1)
+        b = loss_of_one_video(z1, t1 + 1000, z2, t2 + 1000, 2.0, 0.1)
         assert abs(a.item() - b.item()) < 1e-6
 
     def test_zero_norm_embedding_rejected(self):
         z1 = Tensor(np.zeros((2, 4), dtype=np.float32))
         z2 = Tensor(np.ones((2, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="zero-norm"):
-            tr.sequence_contrastive_loss(z1, np.arange(2), z2, np.arange(2), 1.0, 0.1)
+            loss_of_one_video(z1, np.arange(2), z2, np.arange(2), 1.0, 0.1)
+
+    def test_batch_is_mean_of_videos_in_order(self):
+        # nine videos: from eight terms on, numpy's own float32 sum adds out
+        # of order, and at this seed that changes the total
+        b = 9
+        rng = np.random.default_rng(5)
+        z1 = rng.standard_normal((b, 4, 5)).astype(np.float32)
+        z2 = rng.standard_normal((b, 4, 5)).astype(np.float32)
+        t1 = np.sort(rng.choice(12, (b, 4)), axis=1)
+        t2 = np.sort(rng.choice(12, (b, 4)), axis=1)
+        batch = tr.sequence_contrastive_loss(Tensor(z1), t1, Tensor(z2), t2, 2.0, 0.1)
+        total = np.float32(0.0)
+        for v in range(b):
+            total = total + loss_of_one_video(Tensor(z1[v]), t1[v], Tensor(z2[v]), t2[v],
+                                              2.0, 0.1).data
+        assert batch.data == total * np.float32(1.0 / b)
+
+    def test_view_count_mismatch_rejected(self):
+        z = Tensor(np.ones((2, 3, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="timestamp"):
+            tr.sequence_contrastive_loss(z, np.zeros((1, 3)), z, np.zeros((2, 3)), 1.0, 0.1)
 
 
 class TestAdam:
@@ -210,10 +239,10 @@ class TestTrainLoop:
     def test_nan_loss_aborts_with_step(self, monkeypatch):
         data = generate_synthetic_dataset(SPEC)
 
-        def poisoned(model, video, views, config):
+        def poisoned(model, batch, seeds, config):
             return Tensor(np.float32("nan"))
 
-        monkeypatch.setattr(tr, "_video_loss", poisoned)
+        monkeypatch.setattr(tr, "_step_loss", poisoned)
         with pytest.raises(tr.TrainingDiverged, match="step 0"):
             tr.train(data, MODEL, small_train_config())
 
@@ -243,6 +272,64 @@ class TestTrainLoop:
         lines = text.splitlines()
         assert lines[0] == "0\t0.123457"
         assert lines[1] == "1\t2"
+
+
+def reference_step_loss(model, batch, seeds, config):
+    """A training step as one-sequence forwards on one tape: each view
+    alone, each video's loss alone, added first to last, then averaged."""
+    total = None
+    for video, seed in zip(batch, seeds):
+        views = tr.sample_two_views(video, config.view_len, seed)
+        z = []
+        for idx in (views.indices1, views.indices2):
+            layers = [layer[idx][None] for layer in video.layers]
+            pooled = model.embed_frames(layers, np.arange(config.view_len)[None])
+            z.append(model.project(pooled))
+        loss_v = tr.sequence_contrastive_loss(
+            z[0], views.timestamps1[None], z[1], views.timestamps2[None],
+            config.scl_sigma, config.scl_temperature)
+        total = loss_v if total is None else T.add(total, loss_v)
+    return T.scale(total, 1.0 / len(batch))
+
+
+class TestBatchedStep:
+    # (overrides, slice of the training videos forming the batch); the last
+    # case is the short final batch of a pass (32 training videos, batch 3)
+    CASES = {
+        "heads2": (dict(heads=2), slice(0, 4)),
+        "fixed_width": (dict(arch="fixed_width"), slice(4, 8)),
+        "average_e1_short_batch": (
+            dict(pooling="average", entities=1, batch=3, layer_select=(0, 2)),
+            slice(30, 32)),
+    }
+
+    @staticmethod
+    def _loss_and_grads(model, step_loss, batch, seeds, config):
+        model.zero_grads()
+        with Tape() as tape:
+            loss = step_loss(model, batch, seeds, config)
+        tape.backward(loss)
+        return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in model.params.items()}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bitwise_equal_to_one_sequence_at_a_time(self, case):
+        over, picked = self.CASES[case]
+        run = RunConfig(**over)
+        videos, split_of = dataset_from_config(run)
+        train_videos = [v for v in videos if split_of[v.video_id] == "train"]
+        assert len(train_videos) == 32
+        batch = train_videos[picked]
+        seeds = [int(s) for s in np.random.default_rng(1).integers(2 ** 63, size=len(batch))]
+        model = Model(run.model_config(), np.random.default_rng(2))
+        config = run.train_config()
+
+        loss, grads = self._loss_and_grads(model, tr._step_loss, batch, seeds, config)
+        ref_loss, ref_grads = self._loss_and_grads(
+            model, reference_step_loss, batch, seeds, config)
+        assert loss == ref_loss
+        assert list(grads) == list(ref_grads)
+        differing = [name for name in grads if grads[name] != ref_grads[name]]
+        assert not differing, differing
 
 
 class TestTrialAggregation:
