@@ -87,19 +87,21 @@ def _fit_softmax_probe(x: np.ndarray, y: np.ndarray, classes: int,
     return w
 
 
-def linear_probe_classification(train: EmbeddedDataset, test: EmbeddedDataset,
-                                epochs: int = 500, lr: float = 1.0) -> float:
+def linear_probe_classification(data: EmbeddedDataset, epochs: int = 500,
+                                lr: float = 1.0) -> float:
     """Test-frame accuracy of a multinomial logistic probe on frozen
-    embeddings, standardized by train-split statistics."""
-    train_x, train_y = train.stacked("train")
-    test_x, test_y = test.stacked("test")
-    classes = int(train_y.max()) + 1
-    if np.unique(train_y).size < 2:
+    embeddings, standardized by train-split statistics. The classes are
+    the distinct train labels; a test label unseen in train counts as
+    wrong."""
+    train_x, train_y = data.stacked("train")
+    test_x, test_y = data.stacked("test")
+    classes, train_class = np.unique(train_y, return_inverse=True)
+    if classes.size < 2:
         raise ValueError("training split contains a single class")
     train_x, test_x = _standardize(train_x, test_x)
-    w = _fit_softmax_probe(train_x, train_y, classes, epochs, lr)
+    w = _fit_softmax_probe(train_x, train_class, classes.size, epochs, lr)
     xb = np.concatenate([test_x, np.ones((test_x.shape[0], 1), dtype=test_x.dtype)], axis=1)
-    pred = np.argmax(xb.astype(np.float64) @ w, axis=1)
+    pred = classes[np.argmax(xb.astype(np.float64) @ w, axis=1)]
     return float(np.mean(pred == test_y))
 
 
@@ -117,12 +119,11 @@ def r_squared(targets: np.ndarray, predictions: np.ndarray) -> float:
     return 1.0 - float(((t - p) ** 2).sum()) / ss_tot
 
 
-def phase_progression_r2(train: EmbeddedDataset, test: EmbeddedDataset,
-                         ridge_lambda: float = 1e-4) -> float:
+def phase_progression_r2(data: EmbeddedDataset, ridge_lambda: float = 1e-4) -> float:
     """Closed-form ridge regression to the progression target; R^2 is
     computed per test video against its own target mean, then averaged.
     Zero-variance videos are excluded with a warning."""
-    train_vids = train.subset("train")
+    train_vids = data.subset("train")
     x = np.concatenate([v.embeddings for v in train_vids], axis=0).astype(np.float64)
     y = np.concatenate([v.progression for v in train_vids], axis=0).astype(np.float64)
     mu, sd = x.mean(axis=0), x.std(axis=0)
@@ -133,7 +134,7 @@ def phase_progression_r2(train: EmbeddedDataset, test: EmbeddedDataset,
 
     scores = []
     skipped = 0
-    for v in test.subset("test"):
+    for v in data.subset("test"):
         target = v.progression.astype(np.float64)
         ss_tot = float(((target - target.mean()) ** 2).sum())
         if ss_tot == 0.0:
@@ -150,15 +151,55 @@ def phase_progression_r2(train: EmbeddedDataset, test: EmbeddedDataset,
 
 
 # ---------------------------------------------------------------------------
+# squared frame distances, shared by (3) and (4)
+
+# Row blocks keep the [rows, Tb, d] float64 temporary of the elementwise
+# distance formula near this size.
+_BLOCK_BYTES = 4 << 20
+
+# table[i][j]: [T_i, T_j] squared distances between the frames of videos i
+# and j; None on the diagonal.
+DistanceTable = list[list[np.ndarray | None]]
+
+
+def squared_distances(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
+    """[Ta, Tb] float64 squared Euclidean distances between the frames of
+    a and b, each summed over the channel axis in the same order whatever
+    the row block it falls in."""
+    a = np.asarray(emb_a, dtype=np.float64)
+    b = np.asarray(emb_b, dtype=np.float64)
+    out = np.empty((a.shape[0], b.shape[0]))
+    rows = max(1, _BLOCK_BYTES // max(1, b.nbytes))
+    for r in range(0, a.shape[0], rows):
+        out[r:r + rows] = ((a[r:r + rows, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return out
+
+
+def distance_table(videos: list[EmbeddedVideo]) -> DistanceTable:
+    """table[i][j] = squared_distances(videos[i], videos[j]) for i != j.
+
+    Each unordered pair is computed once and (j, i) is the transpose view
+    of (i, j). That is exact, not approximate: (x - y)^2 equals (y - x)^2
+    bit for bit, and both sums run over the same channels in the same
+    order."""
+    n = len(videos)
+    table: DistanceTable = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d2 = squared_distances(videos[i].embeddings, videos[j].embeddings)
+            table[i][j] = d2
+            table[j][i] = d2.T
+    return table
+
+
+# ---------------------------------------------------------------------------
 # (3) rank correlation of nearest-neighbor matches
 
 
 def nearest_neighbor_assignment(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     """For each frame of a, the index of its Euclidean nearest frame in b;
     ties break toward the lower index."""
-    d2 = ((emb_a[:, None, :].astype(np.float64)
-           - emb_b[None, :, :].astype(np.float64)) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)  # argmin returns the first minimum
+    return np.argmin(squared_distances(emb_a, emb_b), axis=1)  # the first minimum
 
 
 def tau_of_assignment(assignment: np.ndarray) -> float:
@@ -171,18 +212,23 @@ def tau_of_assignment(assignment: np.ndarray) -> float:
     return float(sign.sum() / (n * (n - 1) / 2))
 
 
-def kendalls_tau(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    if len(emb_a) < 2 or len(emb_b) < 2:
+def _tau_of_distances(d2: np.ndarray) -> float:
+    """Tau of the nearest-neighbor assignment of a [Ta, Tb] distance block;
+    argmin returns the first minimum, so ties break toward the lower index."""
+    if d2.shape[0] < 2 or d2.shape[1] < 2:
         raise ValueError("need at least 2 frames per video")
-    return tau_of_assignment(nearest_neighbor_assignment(emb_a, emb_b))
+    return tau_of_assignment(np.argmin(d2, axis=1))
 
 
-def dataset_tau(videos: list[EmbeddedVideo]) -> float:
-    """Mean over all ordered pairs of distinct videos."""
-    scores = [
-        kendalls_tau(a.embeddings, b.embeddings)
-        for a in videos for b in videos if a is not b
-    ]
+def kendalls_tau(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
+    return _tau_of_distances(squared_distances(emb_a, emb_b))
+
+
+def dataset_tau(distances: DistanceTable) -> float:
+    """Mean over all ordered pairs of distinct videos, given their
+    `distance_table`."""
+    scores = [_tau_of_distances(d2) for i, row in enumerate(distances)
+              for j, d2 in enumerate(row) if i != j]
     if not scores:
         raise ValueError("need at least 2 videos for the pairwise rank score")
     return float(np.mean(scores))
@@ -192,41 +238,47 @@ def dataset_tau(videos: list[EmbeddedVideo]) -> float:
 # (4) fine-grained frame retrieval
 
 
-def average_precision_at_k(relevance: np.ndarray, k: int, total_relevant: int) -> float:
-    """AP@k = sum_i precision@i * rel_i / min(k, R) over the top-k ranking."""
-    top = relevance[:k].astype(np.float64)
-    if total_relevant == 0:
+def average_precision_at_k(relevance: np.ndarray, k: int,
+                           total_relevant: int | np.ndarray) -> float | np.ndarray:
+    """AP@k = sum_i precision@i * rel_i / min(k, R) over the top-k ranking.
+
+    `relevance` is one ranking, or one ranking per row with one
+    `total_relevant` each; every row runs the same float64 operations in
+    the same order as a ranking passed alone."""
+    top = np.asarray(relevance)[..., :k].astype(np.float64)
+    total = np.asarray(total_relevant)
+    if np.any(total == 0):
         raise ValueError("no relevant candidates")
-    precision_at = np.cumsum(top) / (np.arange(len(top)) + 1)
-    return float((precision_at * top).sum() / min(k, total_relevant))
+    precision_at = np.cumsum(top, axis=-1) / (np.arange(top.shape[-1]) + 1)
+    return (precision_at * top).sum(axis=-1) / np.minimum(k, total)
 
 
-def retrieval_ap_at_k(videos: list[EmbeddedVideo], k: int = 5) -> float:
+def retrieval_ap_at_k(videos: list[EmbeddedVideo], distances: DistanceTable,
+                      k: int = 5) -> float:
     """Mean AP@k over every query frame; candidates are all frames from
     the other videos, relevance is a matching phase label. Queries without
-    relevant candidates are skipped and counted."""
+    relevant candidates are skipped and counted. `distances` is
+    `distance_table(videos)`."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    embs = [v.embeddings.astype(np.float64) for v in videos]
     labels = [np.asarray(v.labels) for v in videos]
-    scores = []
+    scores = [np.empty(0)]
     skipped = 0
-    for qi, (qe, ql) in enumerate(zip(embs, labels)):
-        pool_emb = np.concatenate([e for i, e in enumerate(embs) if i != qi], axis=0)
-        pool_lab = np.concatenate([l for i, l in enumerate(labels) if i != qi], axis=0)
-        d2 = ((qe[:, None, :] - pool_emb[None, :, :]) ** 2).sum(axis=2)
+    for qi, ql in enumerate(labels):
+        others = [i for i in range(len(videos)) if i != qi]
+        pool_lab = np.concatenate([labels[i] for i in others], axis=0)
+        d2 = np.concatenate([distances[qi][i] for i in others], axis=1)
         order = np.argsort(d2, axis=1, kind="stable")
-        for row in range(qe.shape[0]):
-            rel_all = pool_lab == ql[row]
-            total = int(rel_all.sum())
-            if total == 0:
-                skipped += 1
-                continue
-            ranked = rel_all[order[row]]
-            scores.append(average_precision_at_k(ranked, k, total))
+        rel_all = pool_lab[None, :] == ql[:, None]
+        total = rel_all.sum(axis=1)
+        kept = total > 0
+        skipped += int((~kept).sum())
+        ranked = np.take_along_axis(rel_all, order[:, :k], axis=1)
+        scores.append(average_precision_at_k(ranked[kept], k, total[kept]))
     if skipped:
         log.warning("retrieval: skipped %d queries with no relevant candidates", skipped)
-    if not scores:
+    scores = np.concatenate(scores)
+    if scores.size == 0:
         raise ValueError("every query was skipped")
     return float(np.mean(scores))
 
@@ -248,10 +300,11 @@ METRIC_NAMES = ("classification", "progression", "tau", "retrieval_ap5")
 
 def evaluate_model(embedded: EmbeddedDataset, probes: ProbeConfig) -> dict[str, float]:
     test_videos = embedded.subset("test")
+    distances = distance_table(test_videos)
     return {
         "classification": linear_probe_classification(
-            embedded, embedded, probes.probe_epochs, probes.probe_lr),
-        "progression": phase_progression_r2(embedded, embedded, probes.ridge_lambda),
-        "tau": dataset_tau(test_videos),
-        "retrieval_ap5": retrieval_ap_at_k(test_videos, probes.retrieval_k),
+            embedded, probes.probe_epochs, probes.probe_lr),
+        "progression": phase_progression_r2(embedded, probes.ridge_lambda),
+        "tau": dataset_tau(distances),
+        "retrieval_ap5": retrieval_ap_at_k(test_videos, distances, probes.retrieval_k),
     }

@@ -30,7 +30,7 @@ class TestLinearProbe:
         rng = np.random.default_rng(0)
         data = ev.EmbeddedDataset(
             cluster_dataset(rng, split="train") + cluster_dataset(rng, split="test"))
-        acc = ev.linear_probe_classification(data, data, epochs=200, lr=1.0)
+        acc = ev.linear_probe_classification(data, epochs=200, lr=1.0)
         assert acc == 1.0
 
     def test_shuffled_labels_hit_chance(self):
@@ -43,15 +43,15 @@ class TestLinearProbe:
             train = [make_video("tr", emb[:120], labels[:120], split="train")]
             test = [make_video("te", emb[120:], labels[120:], split="test")]
             data = ev.EmbeddedDataset(train + test)
-            accs.append(ev.linear_probe_classification(data, data, epochs=100, lr=0.5))
+            accs.append(ev.linear_probe_classification(data, epochs=100, lr=0.5))
         assert abs(np.mean(accs) - 0.25) <= 0.15
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         data = ev.EmbeddedDataset(
             cluster_dataset(rng, split="train") + cluster_dataset(rng, split="test"))
-        a = ev.linear_probe_classification(data, data)
-        b = ev.linear_probe_classification(data, data)
+        a = ev.linear_probe_classification(data)
+        b = ev.linear_probe_classification(data)
         assert a == b
 
     def test_single_class_rejected(self):
@@ -61,19 +61,42 @@ class TestLinearProbe:
         test = [make_video("te", rng.standard_normal((4, 4)), np.zeros(4, int))]
         data = ev.EmbeddedDataset(train + test)
         with pytest.raises(ValueError, match="single class"):
-            ev.linear_probe_classification(data, data)
+            ev.linear_probe_classification(data)
 
     def test_coordinate_permutation_invariance(self):
         rng = np.random.default_rng(3)
         train = cluster_dataset(rng, split="train")
         test = cluster_dataset(rng, split="test")
         data = ev.EmbeddedDataset(train + test)
-        base = ev.linear_probe_classification(data, data, epochs=50, lr=0.5)
+        base = ev.linear_probe_classification(data, epochs=50, lr=0.5)
         perm = rng.permutation(6)
         permuted = ev.EmbeddedDataset([
             make_video(v.video_id, v.embeddings[:, perm], v.labels, split=v.split)
             for v in train + test])
-        assert ev.linear_probe_classification(permuted, permuted, epochs=50, lr=0.5) == base
+        assert ev.linear_probe_classification(permuted, epochs=50, lr=0.5) == base
+
+    def test_classes_are_the_distinct_train_labels(self):
+        # MVFF labels are unbounded u32; sizing the class axis by the
+        # largest label would allocate 149 GiB here
+        rng = np.random.default_rng(12)
+        videos = cluster_dataset(rng, split="train") + cluster_dataset(rng, split="test")
+        data = ev.EmbeddedDataset(videos)
+
+        def relabelled(mapping):
+            return ev.EmbeddedDataset([
+                make_video(v.video_id, v.embeddings, [mapping[int(l)] for l in v.labels],
+                           split=v.split) for v in videos])
+
+        base = ev.linear_probe_classification(data, epochs=50, lr=0.5)
+        assert base == 1.0
+        big = relabelled({0: 3, 1: 4_000_000_000})
+        assert ev.linear_probe_classification(big, epochs=50, lr=0.5) == base
+        # a test label never seen in train counts as wrong
+        unseen = ev.EmbeddedDataset([
+            make_video(v.video_id, v.embeddings,
+                       v.labels + 5 if v.video_id == "test1" else v.labels, split=v.split)
+            for v in videos])
+        assert ev.linear_probe_classification(unseen, epochs=50, lr=0.5) == 0.5
 
 
 class TestRSquared:
@@ -100,7 +123,7 @@ class TestRSquared:
             videos.append(make_video(f"v{vid}", emb, np.zeros(20, int), target,
                                      split="train" if vid < 2 else "test"))
         data = ev.EmbeddedDataset(videos)
-        score = ev.phase_progression_r2(data, data)
+        score = ev.phase_progression_r2(data)
         assert score > 0.999
 
     def test_zero_variance_video_excluded(self, caplog):
@@ -113,7 +136,7 @@ class TestRSquared:
                           np.full(8, 0.5))
         data = ev.EmbeddedDataset(train + [good, flat])
         with caplog.at_level("WARNING"):
-            score = ev.phase_progression_r2(data, data)
+            score = ev.phase_progression_r2(data)
         assert np.isfinite(score)
         assert "zero-variance" in caplog.text
 
@@ -130,6 +153,19 @@ def tau_oracle(assignment):
             elif prod < 0:
                 discordant += 1
     return (concordant - discordant) / (n * (n - 1) / 2)
+
+
+def reference_dataset_tau(videos):
+    """The per-pair loop that dataset_tau ran before the shared distance
+    table, distances and all; the table must reproduce it bit for bit."""
+    scores = []
+    for a in videos:
+        for b in videos:
+            if a is not b:
+                d2 = ((a.embeddings[:, None, :].astype(np.float64)
+                       - b.embeddings[None, :, :].astype(np.float64)) ** 2).sum(axis=2)
+                scores.append(ev.tau_of_assignment(np.argmin(d2, axis=1)))
+    return float(np.mean(scores))
 
 
 class TestKendallsTau:
@@ -171,7 +207,7 @@ class TestKendallsTau:
         rng = np.random.default_rng(8)
         videos = [make_video(f"v{i}", rng.standard_normal((6, 4)), np.zeros(6, int))
                   for i in range(3)]
-        score = ev.dataset_tau(videos)
+        score = ev.dataset_tau(ev.distance_table(videos))
         expected = np.mean([
             ev.kendalls_tau(a.embeddings, b.embeddings)
             for a in videos for b in videos if a is not b])
@@ -190,6 +226,79 @@ def ap_oracle(distances, relevant, k):
             hits += 1
             score += hits / (i + 1)
     return score / min(k, total)
+
+
+def retrieval(videos, k):
+    return ev.retrieval_ap_at_k(videos, ev.distance_table(videos), k)
+
+
+def reference_retrieval(videos, k):
+    """The per-query, per-row loop that retrieval_ap_at_k ran before the
+    shared distance table; returns the score and the skip count."""
+    embs = [v.embeddings.astype(np.float64) for v in videos]
+    labels = [np.asarray(v.labels) for v in videos]
+    scores = []
+    skipped = 0
+    for qi, (qe, ql) in enumerate(zip(embs, labels)):
+        pool_emb = np.concatenate([e for i, e in enumerate(embs) if i != qi], axis=0)
+        pool_lab = np.concatenate([l for i, l in enumerate(labels) if i != qi], axis=0)
+        d2 = ((qe[:, None, :] - pool_emb[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")
+        for row in range(qe.shape[0]):
+            rel_all = pool_lab == ql[row]
+            total = int(rel_all.sum())
+            if total == 0:
+                skipped += 1
+                continue
+            top = rel_all[order[row]][:k].astype(np.float64)
+            precision_at = np.cumsum(top) / (np.arange(len(top)) + 1)
+            scores.append(float((precision_at * top).sum() / min(k, total)))
+    return float(np.mean(scores)), skipped
+
+
+def reference_video_sets():
+    """Inputs for the bitwise comparison with the reference loops."""
+    rng = np.random.default_rng(12)
+    # unequal lengths at the model's width; label 9 occurs in one video only
+    unequal = [make_video(f"u{i}", rng.standard_normal((n, 128)),
+                          rng.integers(0, 4, n)) for i, n in enumerate([3, 8, 13, 21])]
+    unequal[2].labels[5] = 9
+    # frames shared across and within videos, so distances tie exactly and
+    # the first minimum and the stable order decide tau and AP
+    base = rng.standard_normal((6, 16)).astype(np.float32)
+    tied = [make_video("t0", base, [0, 1, 2, 3, 0, 1]),
+            make_video("t1", base[[5, 0, 4, 3, 0, 2, 1]], [1, 0, 3, 2, 1, 1, 0]),
+            make_video("t2", base[[0, 2, 1, 0, 2, 1]], [2, 2, 0, 1, 3, 0])]
+    # a pool shorter than the largest k
+    short = [make_video("s0", rng.standard_normal((2, 5)), [0, 1]),
+             make_video("s1", rng.standard_normal((3, 5)), [1, 0, 1])]
+    return {"unequal": unequal, "tied": tied, "short": short}
+
+
+@pytest.mark.parametrize("block_bytes", [ev._BLOCK_BYTES, 1])
+@pytest.mark.parametrize("name", ["unequal", "tied", "short"])
+def test_distance_table_matches_reference_bitwise(name, block_bytes, monkeypatch, caplog):
+    monkeypatch.setattr(ev, "_BLOCK_BYTES", block_bytes)  # 1: one row per block
+    videos = reference_video_sets()[name]
+    table = ev.distance_table(videos)
+    for i, a in enumerate(videos):
+        for j, b in enumerate(videos):
+            if i != j:
+                want = ((a.embeddings[:, None, :].astype(np.float64)
+                         - b.embeddings[None, :, :].astype(np.float64)) ** 2).sum(axis=2)
+                assert np.array_equal(table[i][j], want)
+    assert ev.dataset_tau(table) == reference_dataset_tau(videos)
+    for k in (1, 5, 50):
+        want, skipped = reference_retrieval(videos, k)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert ev.retrieval_ap_at_k(videos, table, k) == want
+        if skipped:
+            assert f"skipped {skipped} queries" in caplog.text
+        else:
+            assert "skipped" not in caplog.text
+    if name == "unequal":
+        assert skipped == 1
 
 
 class TestRetrieval:
@@ -224,7 +333,7 @@ class TestRetrieval:
         a = make_video("a", rng.standard_normal((4, 3)), [0, 0, 7, 7])
         b = make_video("b", rng.standard_normal((4, 3)), [0, 0, 0, 0])
         with caplog.at_level("WARNING"):
-            score = ev.retrieval_ap_at_k([a, b], k=2)
+            score = retrieval([a, b], k=2)
         assert 0.0 <= score <= 1.0
         assert "skipped" in caplog.text
 
@@ -234,7 +343,7 @@ class TestRetrieval:
         a = make_video("a", np.zeros((3, 2)), [1, 1, 1])
         b = make_video("b", np.ones((3, 2)), [2, 2, 2])
         with pytest.raises(ValueError, match="skipped"):
-            ev.retrieval_ap_at_k([a, b], k=2)
+            retrieval([a, b], k=2)
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(11)
@@ -243,8 +352,8 @@ class TestRetrieval:
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         rotated = [make_video(v.video_id, v.embeddings @ q.astype(np.float32),
                               v.labels) for v in videos]
-        assert ev.retrieval_ap_at_k(videos, 5) == ev.retrieval_ap_at_k(rotated, 5)
+        assert retrieval(videos, 5) == retrieval(rotated, 5)
 
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k"):
-            ev.retrieval_ap_at_k([], k=0)
+            ev.retrieval_ap_at_k([], [], k=0)

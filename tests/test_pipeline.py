@@ -1,0 +1,41 @@
+import ctypes
+import platform
+import resource
+import sys
+from dataclasses import replace
+
+import pytest
+
+from mevid import pipeline
+from mevid.config import RunConfig
+
+GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not GLIBC, reason="the mmap and trim thresholds are glibc's")
+def test_training_heap_stays_resident():
+    # with glibc's default thresholds every step maps and faults in fresh
+    # pages for its larger arrays: about 3K minor faults per default step
+    config = RunConfig(max_steps=10)
+    videos, split_of = pipeline.dataset_from_config(config)
+    pipeline._keep_heap_resident()
+    pipeline.train_model(replace(config, max_steps=2), videos, split_of)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pipeline.train_model(config, videos, split_of)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"{faults} minor page faults in 10 steps"
+
+
+class _NoMallopt:
+    def __init__(self, name):
+        pass
+
+
+def _no_libc(name):
+    raise OSError("libc not found")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _NoMallopt], ids=["no_libc", "no_mallopt"])
+def test_heap_helper_is_a_no_op_without_mallopt(cdll, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    pipeline._keep_heap_resident()
