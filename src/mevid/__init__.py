@@ -17,7 +17,7 @@ from .features import (
     select_layers,
     write_mvff,
 )
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import Model, ModelConfig, save_checkpoint
 from .tensor import Parameter, Tape, Tensor, grad_check
 from .training import TrainConfig, sample_two_views, sequence_contrastive_loss, train
 
@@ -32,7 +32,6 @@ __all__ = [
     "VideoFeatures",
     "generate_synthetic_dataset",
     "grad_check",
-    "load_checkpoint",
     "load_mvff",
     "sample_two_views",
     "save_checkpoint",

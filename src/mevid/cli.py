@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -141,6 +142,10 @@ def _cmd_attn(args, config: RunConfig) -> int:
     if args.video_id not in by_id:
         raise UsageError(f"video {args.video_id!r} not present in {args.data}")
     video = select_layers(by_id[args.video_id], list(config.layer_select))
+    side = math.isqrt(video.num_tokens)
+    if side * side != video.num_tokens:
+        raise UsageError(f"{args.video_id!r} has {video.num_tokens} tokens per frame, "
+                         f"not a square grid")
     with open(args.checkpoint, "rb") as fh:
         model = pipeline.model_from_checkpoint(config, fh.read())
     entities = model.extract(video)
@@ -149,7 +154,7 @@ def _cmd_attn(args, config: RunConfig) -> int:
     for layer in range(len(entities.attention)):
         for frame in range(entities.num_frames):
             for entity in range(entities.num_entities):
-                amap = attention_map(entities, frame, entity, layer, config.grid)
+                amap = attention_map(entities, frame, entity, layer, side)
                 name = f"{video.video_id}_f{frame}_e{entity}_l{layer}.pgm"
                 export_attention(amap, os.path.join(args.out, name))
                 count += 1
@@ -163,13 +168,15 @@ def _cmd_trials(args, config: RunConfig) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad --seeds value {args.seeds!r}") from exc
-    if any(seed < 0 for seed in seeds):
-        raise UsageError(f"--seeds must be non-negative, got {args.seeds!r}")
-    report = pipeline.run_trials(config, seeds)
-    sys.stdout.write(report.table())
+    if len(seeds) < 2 or min(seeds) < 0:
+        raise UsageError(f"--seeds needs at least 2 non-negative seeds, got {args.seeds!r}")
+    summary = pipeline.summarize(pipeline.run_trials(config, seeds))
+    width = max(len(name) for name in summary)
+    sys.stdout.write("".join(f"{name:<{width}}  {stat['summary']}\n"
+                             for name, stat in summary.items()))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 

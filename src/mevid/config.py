@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .evaluate import ProbeConfig
 from .features import SyntheticSpec
 from .model import ModelConfig
 from .training import TrainConfig
@@ -72,7 +71,6 @@ class RunConfig:
     probe_epochs: int = 500
     probe_lr: float = 1.0
     ridge_lambda: float = 1e-4
-    retrieval_k: int = 5
 
     def synthetic_spec(self) -> SyntheticSpec:
         return SyntheticSpec(
@@ -119,30 +117,16 @@ class RunConfig:
             seed=self.seed if seed is None else seed,
         )
 
-    def probe_config(self) -> ProbeConfig:
-        return ProbeConfig(
-            probe_epochs=self.probe_epochs,
-            probe_lr=self.probe_lr,
-            ridge_lambda=self.ridge_lambda,
-            retrieval_k=self.retrieval_k,
-        )
 
-
-_PARSERS = {
-    "noise": float, "train_fraction": float, "pos_scale": float,
-    "scl_sigma": float, "scl_temperature": float, "lr": float,
-    "beta1": float, "beta2": float, "adam_eps": float,
-    "probe_lr": float, "ridge_lambda": float,
-    "arch": str, "pooling": str,
-    "layer_select": _parse_layer_list,
-}
-_KEYS = {f.name for f in fields(RunConfig)}
+# Each key is parsed by the type its `RunConfig` field declares; with
+# postponed evaluation of annotations, `Field.type` is the annotation text.
+_PARSE_AS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_layer_list}
+_PARSER_OF = {f.name: _PARSE_AS[f.type] for f in fields(RunConfig)}
 
 
 def _convert(key: str, text: str):
-    parser = _PARSERS.get(key, int)
     try:
-        return parser(text)
+        return _PARSER_OF[key](text)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {text!r}") from exc
 
@@ -165,13 +149,13 @@ def _validate(config: RunConfig) -> RunConfig:
                 f"layer_select id {i} out of range for {config.layers} layers")
     if any(b <= a for a, b in zip(config.layer_select, config.layer_select[1:])):
         raise ConfigError(f"layer_select must strictly increase, got {config.layer_select}")
-    if config.probe_epochs < 1 or config.retrieval_k < 1:
-        raise ConfigError("probe_epochs and retrieval_k must be >= 1")
+    if config.probe_epochs < 1:
+        raise ConfigError(f"probe_epochs must be >= 1, got {config.probe_epochs}")
     return config
 
 
 def config_from_dict(values: dict[str, object]) -> RunConfig:
-    unknown = sorted(set(values) - _KEYS)
+    unknown = sorted(set(values).difference(_PARSER_OF))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     return _validate(RunConfig(**values))
@@ -187,7 +171,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEYS:
+        if key not in _PARSER_OF:
             raise ConfigError(f"unknown config key(s): {key}")
         if key in values:
             raise ConfigError(f"duplicate config key: {key}")

@@ -3,7 +3,7 @@
 Four tasks: linear-probe phase classification, phase-progression
 regression (reported as average R^2), rank correlation of nearest-
 neighbor frame matches between video pairs, and fine-grained frame
-retrieval (AP@k). All operate on plain arrays; the model only supplies
+retrieval (AP@5). All operate on plain arrays; the model only supplies
 the embeddings.
 """
 
@@ -203,13 +203,22 @@ def nearest_neighbor_assignment(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndar
 
 
 def tau_of_assignment(assignment: np.ndarray) -> float:
-    """Concordant-minus-discordant pair fraction; equal matches count 0."""
-    n = len(assignment)
+    """Concordant-minus-discordant pair fraction; equal matches count 0.
+
+    The signs of pairs i < j are counted in row blocks of about
+    `_BLOCK_BYTES`, so memory stays O(n) per row, not O(n^2); the integer
+    total does not depend on the blocking."""
+    a = np.asarray(assignment).astype(np.int64)
+    n = len(a)
     if n < 2:
         raise ValueError("need at least 2 frames for a rank correlation")
-    i, j = np.triu_indices(n, k=1)
-    sign = np.sign(assignment[j].astype(np.int64) - assignment[i].astype(np.int64))
-    return float(sign.sum() / (n * (n - 1) / 2))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    total = 0
+    for r in range(0, n - 1, rows):
+        # row i of the block against every column j > r; triu keeps j > i
+        sign = np.sign(a[None, r + 1:] - a[r:r + rows, None])
+        total += int(np.triu(sign).sum())
+    return float(total / (n * (n - 1) / 2))
 
 
 def _tau_of_distances(d2: np.ndarray) -> float:
@@ -287,24 +296,13 @@ def retrieval_ap_at_k(videos: list[EmbeddedVideo], distances: DistanceTable,
 # combined report
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    probe_epochs: int = 500
-    probe_lr: float = 1.0
-    ridge_lambda: float = 1e-4
-    retrieval_k: int = 5
-
-
-METRIC_NAMES = ("classification", "progression", "tau", "retrieval_ap5")
-
-
-def evaluate_model(embedded: EmbeddedDataset, probes: ProbeConfig) -> dict[str, float]:
+def evaluate_model(embedded: EmbeddedDataset, probe_epochs: int, probe_lr: float,
+                   ridge_lambda: float) -> dict[str, float]:
     test_videos = embedded.subset("test")
     distances = distance_table(test_videos)
     return {
-        "classification": linear_probe_classification(
-            embedded, probes.probe_epochs, probes.probe_lr),
-        "progression": phase_progression_r2(embedded, probes.ridge_lambda),
+        "classification": linear_probe_classification(embedded, probe_epochs, probe_lr),
+        "progression": phase_progression_r2(embedded, ridge_lambda),
         "tau": dataset_tau(distances),
-        "retrieval_ap5": retrieval_ap_at_k(test_videos, distances, probes.retrieval_k),
+        "retrieval_ap5": retrieval_ap_at_k(test_videos, distances, k=5),
     }

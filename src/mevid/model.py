@@ -211,8 +211,3 @@ def load_checkpoint_bytes(raw: bytes) -> dict[str, np.ndarray]:
             raise ValueError(f"non-finite value in checkpoint record {name!r}")
         arrays[name] = arr.reshape(dims).copy()
     return arrays
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        return load_checkpoint_bytes(fh.read())

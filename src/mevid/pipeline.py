@@ -6,7 +6,6 @@ over independently seeded initializations).
 from __future__ import annotations
 
 import ctypes
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,8 @@ def evaluate_trained(config: RunConfig, model: Model, videos: list[VideoFeatures
                      split_of: dict[str, str]) -> dict[str, float]:
     _keep_heap_resident()
     embedded = embed_dataset(model, videos, split_of)
-    return evaluate_model(embedded, config.probe_config())
+    return evaluate_model(embedded, config.probe_epochs, config.probe_lr,
+                          config.ridge_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -92,55 +92,18 @@ class SeedOutcome:
     loss_trace: list[float]
 
 
-@dataclass
-class TrialStat:
-    values: list[float]
-    mean: float
-    stdev: float
-
-    @property
-    def summary(self) -> str:
-        return f"{self.mean:.2f} ± {2.0 * self.stdev:.2f}"
-
-
-@dataclass
-class TrialReport:
-    stats: dict[str, TrialStat]
-    per_seed: list[SeedOutcome]
-
-    def to_dict(self) -> dict:
-        return {
-            name: {
-                "values": stat.values,
-                "mean": stat.mean,
-                "stdev": stat.stdev,
-                "summary": stat.summary,
-            }
-            for name, stat in self.stats.items()
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def table(self) -> str:
-        width = max(len(n) for n in self.stats)
-        lines = [f"{name:<{width}}  {stat.summary}" for name, stat in self.stats.items()]
-        return "\n".join(lines) + "\n"
-
-
-def aggregate_trials(outcomes: list[SeedOutcome]) -> TrialReport:
+def summarize(outcomes: list[SeedOutcome]) -> dict[str, dict]:
+    """Per metric: the per-seed `values`, their `mean`, the sample `stdev`
+    over seeds, and the `summary` string "mean ± 2·stdev"."""
     if len(outcomes) < 2:
         raise ValueError("dispersion needs at least 2 seeds")
-    names = outcomes[0].metrics.keys()
-    stats = {}
-    for name in names:
+    out = {}
+    for name in outcomes[0].metrics:
         values = [o.metrics[name] for o in outcomes]
-        stats[name] = TrialStat(
-            values=values,
-            mean=float(np.mean(values)),
-            stdev=float(np.std(values, ddof=1)),
-        )
-    return TrialReport(stats=stats, per_seed=outcomes)
+        mean, stdev = float(np.mean(values)), float(np.std(values, ddof=1))
+        out[name] = {"values": values, "mean": mean, "stdev": stdev,
+                     "summary": f"{mean:.2f} ± {2.0 * stdev:.2f}"}
+    return out
 
 
 def run_single(config: RunConfig, videos: list[VideoFeatures],
@@ -157,10 +120,8 @@ def run_single(config: RunConfig, videos: list[VideoFeatures],
 
 def run_trials(config: RunConfig, seeds: list[int],
                videos: list[VideoFeatures] | None = None,
-               split_of: dict[str, str] | None = None) -> TrialReport:
-    """Train and evaluate once per seed on a shared dataset, then aggregate."""
-    if len(seeds) < 2:
-        raise ValueError("the multi-trial protocol needs at least 2 seeds")
+               split_of: dict[str, str] | None = None) -> list[SeedOutcome]:
+    """Train and evaluate once per seed on a shared dataset."""
     if videos is None or split_of is None:
         videos, split_of = dataset_from_config(config)
     outcomes = []
@@ -169,7 +130,7 @@ def run_trials(config: RunConfig, seeds: list[int],
             outcomes.append(run_single(config, videos, split_of, seed))
         except Exception as exc:
             raise RuntimeError(f"trial with seed {seed} failed: {exc}") from exc
-    return aggregate_trials(outcomes)
+    return outcomes
 
 
 def model_from_checkpoint(config: RunConfig, checkpoint: bytes) -> Model:

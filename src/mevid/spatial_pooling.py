@@ -71,9 +71,6 @@ class EntitySet:
     num_entities: int
     attention: list[Tensor]
 
-    def attention_array(self, layer: int) -> np.ndarray:
-        return self.attention[layer].data
-
 
 def extract_entities_from_arrays(layers: list[np.ndarray],
                                  params: dict[str, Parameter]) -> EntitySet:
@@ -135,7 +132,7 @@ class AttentionMap:
 
 def attention_map(entities: EntitySet, frame: int, entity: int, layer: int,
                   grid_side: int) -> AttentionMap:
-    row = entities.attention_array(layer)[frame, entity]
+    row = entities.attention[layer].data[frame, entity]
     return AttentionMap(grid_side, row.reshape(grid_side, grid_side).astype(np.float64))
 
 

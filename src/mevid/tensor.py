@@ -17,14 +17,13 @@ recorded one after another on one tape.
 
 Tensors are immutable after creation except for gradient accumulation
 and the optimizer's in-place update of a Parameter's data.
-A Tape and the tensors recorded on it belong to one thread of execution;
-independent tapes may run concurrently.
+A Tape and the tensors recorded on it belong to a single thread: the
+active tape is one process-wide slot.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,18 +91,14 @@ class Parameter(Tensor):
         self.name = name
 
 
-_ACTIVE = threading.local()
-
-
-def _current_tape() -> "Tape | None":
-    return getattr(_ACTIVE, "tape", None)
+_active_tape: "Tape | None" = None
 
 
 class Tape:
     """Ordered record of executed differentiable operations.
 
-    Entering the tape makes it the active recorder for the current
-    thread. `backward` walks the record once, in reverse execution
+    Entering the tape makes it the active recorder until it exits.
+    `backward` walks the record once, in reverse execution
     order, accumulating gradients into tracked leaf tensors.
     """
 
@@ -112,12 +107,14 @@ class Tape:
         self._used = False
 
     def __enter__(self) -> "Tape":
-        self._outer = _current_tape()
-        _ACTIVE.tape = self
+        global _active_tape
+        self._outer = _active_tape
+        _active_tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE.tape = self._outer
+        global _active_tape
+        _active_tape = self._outer
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -164,9 +161,8 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
     out.requires_grad = _needs_grad(inputs)
     if out.requires_grad:
         out._from_op = True
-        tape = _current_tape()
-        if tape is not None:
-            tape._ops.append((out, tuple(inputs), backward_fn))
+        if _active_tape is not None:
+            _active_tape._ops.append((out, tuple(inputs), backward_fn))
     return out
 
 

@@ -25,7 +25,7 @@ from mevid.features import (
     synthetic_layout,
 )
 from mevid.model import Model, ModelConfig
-from mevid.pipeline import dataset_from_config, model_from_checkpoint, run_trials
+from mevid.pipeline import dataset_from_config, model_from_checkpoint, run_trials, summarize
 from mevid.spatial_pooling import EntitySet, extract_entities_from_arrays, init_pooling_params
 from mevid.tensor import Tensor, grad_check
 
@@ -105,7 +105,7 @@ def test_criterion_2_attention_invariants():
         timestamps=np.arange(3))
     ents = extract_entities_from_arrays([l[None] for l in video.layers], params)
     row_sums_ok = all(
-        np.abs(ents.attention_array(l).sum(axis=2) - 1.0).max() < 1e-5
+        np.abs(ents.attention[l].data.sum(axis=2) - 1.0).max() < 1e-5
         for l in range(2))
 
     token = rng.standard_normal(8).astype(np.float32)
@@ -301,9 +301,10 @@ def test_criterion_6_scl_properties():
 
 
 def test_criterion_7_end_to_end_trends(e2e):
-    cls = {name: rep.stats["classification"] for name, rep in e2e["reports"].items()}
-    e3, fwb, e1 = cls["e3"].mean, cls["fwb"].mean, cls["e1"].mean
-    detail = (f"E3={e3:.3f}{cls['e3'].values} FWB={fwb:.3f} E1={e1:.3f} "
+    cls = {name: summarize(outcomes)["classification"]
+           for name, outcomes in e2e["reports"].items()}
+    e3, fwb, e1 = cls["e3"]["mean"], cls["fwb"]["mean"], cls["e1"]["mean"]
+    detail = (f"E3={e3:.3f}{cls['e3']['values']} FWB={fwb:.3f} E1={e1:.3f} "
               f"runtime={e2e['elapsed']:.0f}s")
     report(7, "classification >= 0.90; multi-entity >= fixed-width; E3 >= E1 - 0.02",
            e3 >= 0.90 and e3 >= fwb and e3 >= e1 - 0.02 and e2e["elapsed"] < 900.0,
@@ -326,7 +327,7 @@ def best_actor_mass(model, config, split_of):
         ents = model.extract(select_layers(video, list(config.layer_select)))
         best = 0.0
         for l in range(len(ents.attention)):
-            att = ents.attention_array(l)
+            att = ents.attention[l].data
             for e in range(att.shape[1]):
                 per_frame = [
                     att[frame, e, _patch_token_indices(
@@ -340,7 +341,7 @@ def best_actor_mass(model, config, split_of):
 def test_criterion_8_actor_localization(e2e):
     config = e2e["config"]
     fractions = []
-    for outcome in e2e["reports"]["e3"].per_seed:
+    for outcome in e2e["reports"]["e3"]:
         model = model_from_checkpoint(config, outcome.checkpoint)
         masses = best_actor_mass(model, config, e2e["split_of"])
         fractions.append(float(np.mean([m >= 0.40 for m in masses])))
@@ -359,8 +360,8 @@ def test_criterion_9_determinism(e2e):
     repeat = run_trials(base, SEEDS, e2e["videos"], e2e["split_of"])
     first = e2e["reports"]["e3"]
     checkpoints_ok = all(
-        a.checkpoint == b.checkpoint for a, b in zip(first.per_seed, repeat.per_seed))
-    metrics_ok = json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
-        repeat.to_dict(), sort_keys=True)
+        a.checkpoint == b.checkpoint for a, b in zip(first, repeat))
+    metrics_ok = json.dumps(summarize(first), sort_keys=True) == json.dumps(
+        summarize(repeat), sort_keys=True)
     report(9, "repeating the run gives bit-identical checkpoints and metrics JSON",
            checkpoints_ok and metrics_ok)

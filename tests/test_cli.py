@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mevid.cli import main
+from mevid.features import VideoFeatures, load_mvff, write_mvff
 
 SMALL_CFG = """
 # desk-scale smoke configuration
@@ -124,6 +125,37 @@ class TestPipelineCommands:
         assert len(files) == 96
         assert files[0].startswith("vid0000_f0_e0_l0")
 
+    def test_attn_grid_side_comes_from_the_data(self, trained, capsys, tmp_path):
+        # the data has 4x4 grids; the model does not depend on `grid`
+        data, ckpt = trained
+        other = tmp_path / "grid8.cfg"
+        other.write_text(SMALL_CFG.replace("grid = 4", "grid = 8"))
+        maps = tmp_path / "maps"
+        assert main(["attn", str(ckpt), "vid0000", "--config", str(other),
+                     "--data", str(data), "--out", str(maps)]) == 0
+        files = sorted(os.listdir(maps))
+        assert len(files) == 96
+        with open(maps / files[0], "rb") as fh:
+            assert fh.read().startswith(b"P5\n4 4\n255\n")
+
+    def test_attn_non_square_tokens_exit_one(self, trained, capsys, tmp_path,
+                                             small_config):
+        data, ckpt = trained
+        video = load_mvff(data / "vid0000.mvff")
+        cropped = tmp_path / "cropped"
+        cropped.mkdir()
+        write_mvff(VideoFeatures(video_id="vid0000", num_frames=video.num_frames,
+                                 layers=[l[:, :6] for l in video.layers],
+                                 timestamps=video.timestamps, labels=video.labels,
+                                 progression=video.progression),
+                   cropped / "vid0000.mvff")
+        (cropped / "manifest.json").write_text(json.dumps(
+            {"videos": [{"id": "vid0000", "file": "vid0000.mvff", "split": "test"}]}))
+        capsys.readouterr()
+        assert main(["attn", str(ckpt), "vid0000", "--config", small_config,
+                     "--data", str(cropped), "--out", str(tmp_path / "maps")]) == 1
+        assert "6 tokens" in capsys.readouterr().err
+
     def test_checkpoint_config_mismatch_is_runtime_error(self, trained, tmp_path,
                                                          capsys, small_config):
         data, ckpt = trained
@@ -153,7 +185,8 @@ class TestTrials:
         assert len(payload["classification"]["values"]) == 2
 
     def test_single_seed_rejected(self, tmp_path, small_config, capsys):
-        assert main(["trials", "--config", small_config, "--seeds", "7"]) == 2
+        assert main(["trials", "--config", small_config, "--seeds", "7"]) == 1
+        assert "--seeds" in capsys.readouterr().err
 
 
 class TestErrors:

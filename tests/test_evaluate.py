@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,15 @@ def reference_dataset_tau(videos):
     return float(np.mean(scores))
 
 
+def reference_tau_of_assignment(assignment):
+    """The all-pairs formula tau_of_assignment used before it counted in
+    row blocks: O(n^2) index arrays, the same integer total."""
+    n = len(assignment)
+    i, j = np.triu_indices(n, k=1)
+    sign = np.sign(assignment[j].astype(np.int64) - assignment[i].astype(np.int64))
+    return float(sign.sum() / (n * (n - 1) / 2))
+
+
 class TestKendallsTau:
     def test_identity_assignment(self):
         assert ev.tau_of_assignment(np.arange(10)) == 1.0
@@ -186,6 +197,31 @@ class TestKendallsTau:
             assignment = rng.integers(0, n, n)
             assert ev.tau_of_assignment(assignment) == pytest.approx(
                 tau_oracle(assignment), abs=1e-12)
+
+    def test_row_blocks_equal_all_pairs_formula(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        sizes = [2, 3, 5, 17, 128, 513, 2000]
+        for n in sizes:
+            for high in (2, max(2, n // 4), n):  # few distinct matches: many ties
+                assignment = rng.integers(0, high, n)
+                assert ev.tau_of_assignment(assignment) == \
+                    reference_tau_of_assignment(assignment)
+        # blocks of a few rows, so most sizes span several blocks
+        monkeypatch.setattr(ev, "_BLOCK_BYTES", 8 * 3 * 64)
+        for n in sizes[:-1]:
+            assignment = rng.integers(0, max(2, n // 3), n)
+            assert ev.tau_of_assignment(assignment) == \
+                reference_tau_of_assignment(assignment)
+
+    def test_memory_stays_below_all_pairs(self):
+        assignment = np.random.default_rng(17).integers(0, 2000, 2000)
+        tracemalloc.start()
+        try:
+            ev.tau_of_assignment(assignment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_nearest_neighbor_tie_breaks_low(self):
         a = np.zeros((1, 2), dtype=np.float32)

@@ -28,7 +28,7 @@ class TestExtractEntities:
         ents = sp.extract_entities_from_arrays(one_sequence(make_features(rng).layers),
                                                make_params(rng))
         for layer in range(2):
-            att = ents.attention_array(layer)
+            att = ents.attention[layer].data
             assert np.abs(att.sum(axis=2) - 1.0).max() < 1e-5
             assert (att >= 0).all()
 
@@ -100,8 +100,8 @@ class TestExtractEntities:
         swapped = sp.extract_entities_from_arrays(one_sequence(permuted.layers), params)
         assert np.abs(base.features.data - swapped.features.data).max() < 1e-6
         for layer in range(2):
-            att_a = base.attention_array(layer)[:, :, perm]
-            att_b = swapped.attention_array(layer)
+            att_a = base.attention[layer].data[:, :, perm]
+            att_b = swapped.attention[layer].data
             assert np.abs(att_a - att_b).max() < 1e-7
 
     def test_no_saturation_at_init(self):
@@ -115,7 +115,7 @@ class TestExtractEntities:
                                   timestamps=np.arange(3))
             params = sp.init_pooling_params(rng, 1, d, 3, 8, 8, 8)
             ents = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
-            assert ents.attention_array(0).max() < 0.9
+            assert ents.attention[0].data.max() < 0.9
 
     def test_gradients(self):
         rng = np.random.default_rng(7)

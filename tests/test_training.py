@@ -8,7 +8,7 @@ from mevid import training as tr
 from mevid.features import SyntheticSpec, generate_synthetic_dataset
 from mevid.model import Model, ModelConfig, save_checkpoint_bytes
 from mevid.config import RunConfig, parse_config_text
-from mevid.pipeline import SeedOutcome, aggregate_trials, dataset_from_config, run_single
+from mevid.pipeline import SeedOutcome, dataset_from_config, run_single, summarize
 from mevid.tensor import Parameter, Tape, Tensor
 
 SPEC = SyntheticSpec(num_videos=4, frames_per_video=16, grid_side=4, channels=8,
@@ -338,24 +338,23 @@ class TestTrialAggregation:
                            checkpoint=b"", loss_trace=[])
 
     def test_mean_and_sample_stdev(self):
-        report = aggregate_trials([self._outcome(i, v) for i, v in enumerate([1.0, 2.0, 3.0])])
-        stat = report.stats["classification"]
-        assert stat.mean == 2.0
-        assert abs(stat.stdev - 1.0) < 1e-12
-        assert stat.summary == "2.00 ± 2.00"
+        summary = summarize([self._outcome(i, v) for i, v in enumerate([1.0, 2.0, 3.0])])
+        stat = summary["classification"]
+        assert stat["mean"] == 2.0
+        assert abs(stat["stdev"] - 1.0) < 1e-12
+        assert stat["summary"] == "2.00 ± 2.00"
 
     def test_identical_values_zero_stdev(self):
-        report = aggregate_trials([self._outcome(i, 0.5) for i in range(3)])
-        assert report.stats["classification"].stdev == 0.0
+        summary = summarize([self._outcome(i, 0.5) for i in range(3)])
+        assert summary["classification"]["stdev"] == 0.0
 
     def test_one_entry_per_metric(self):
         outcomes = [
             SeedOutcome(seed=i, metrics={"a": 1.0, "b": 2.0}, checkpoint=b"", loss_trace=[])
             for i in range(2)
         ]
-        report = aggregate_trials(outcomes)
-        assert set(report.stats) == {"a", "b"}
+        assert set(summarize(outcomes)) == {"a", "b"}
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="2 seeds"):
-            aggregate_trials([self._outcome(0, 1.0)])
+            summarize([self._outcome(0, 1.0)])
