@@ -74,16 +74,21 @@ def _echo_config(config: RunConfig) -> None:
     sys.stderr.flush()
 
 
-def _load_data_dir(data_dir: str):
-    manifest_path = os.path.join(data_dir, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    videos, split_of = [], {}
-    for entry in manifest["videos"]:
-        videos.append(load_mvff(os.path.join(data_dir, entry["file"]),
-                                video_id=entry["id"]))
-        split_of[entry["id"]] = entry["split"]
-    return videos, split_of
+def _read_manifest(data_dir: str) -> list[dict]:
+    with open(os.path.join(data_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+        return json.load(fh)["videos"]
+
+
+def _load_entry(data_dir: str, entry: dict, config: RunConfig):
+    video = load_mvff(os.path.join(data_dir, entry["file"]), video_id=entry["id"])
+    return select_layers(video, list(config.layer_select))
+
+
+def _load_data_dir(data_dir: str, config: RunConfig):
+    """Every manifest video with the configured layer selection, and the split."""
+    entries = _read_manifest(data_dir)
+    videos = [_load_entry(data_dir, entry, config) for entry in entries]
+    return videos, {entry["id"]: entry["split"] for entry in entries}
 
 
 def _cmd_gen(args, config: RunConfig) -> int:
@@ -113,8 +118,7 @@ def _cmd_train(args, config: RunConfig) -> int:
     if args.seed is not None:
         config = _validate(dataclasses.replace(config, seed=args.seed))
     _echo_config(config)
-    raw, split_of = _load_data_dir(args.data)
-    videos = [select_layers(v, list(config.layer_select)) for v in raw]
+    videos, split_of = _load_data_dir(args.data, config)
     result = pipeline.train_model(config, videos, split_of)
     save_checkpoint(result.model, args.out)
     trace_path = args.out + ".loss.tsv"
@@ -126,8 +130,7 @@ def _cmd_train(args, config: RunConfig) -> int:
 
 def _cmd_eval(args, config: RunConfig) -> int:
     _echo_config(config)
-    raw, split_of = _load_data_dir(args.data)
-    videos = [select_layers(v, list(config.layer_select)) for v in raw]
+    videos, split_of = _load_data_dir(args.data, config)
     with open(args.checkpoint, "rb") as fh:
         model = pipeline.model_from_checkpoint(config, fh.read())
     metrics = pipeline.evaluate_trained(config, model, videos, split_of)
@@ -137,11 +140,13 @@ def _cmd_eval(args, config: RunConfig) -> int:
 
 def _cmd_attn(args, config: RunConfig) -> int:
     _echo_config(config)
-    raw, split_of = _load_data_dir(args.data)
-    by_id = {v.video_id: v for v in raw}
-    if args.video_id not in by_id:
+    if config.arch != "entity":
+        raise UsageError(f"attn exports entity attention and needs arch = entity, "
+                         f"got arch = {config.arch}")
+    entry = next((e for e in _read_manifest(args.data) if e["id"] == args.video_id), None)
+    if entry is None:
         raise UsageError(f"video {args.video_id!r} not present in {args.data}")
-    video = select_layers(by_id[args.video_id], list(config.layer_select))
+    video = _load_entry(args.data, entry, config)
     side = math.isqrt(video.num_tokens)
     if side * side != video.num_tokens:
         raise UsageError(f"{args.video_id!r} has {video.num_tokens} tokens per frame, "

@@ -127,6 +127,8 @@ _PARSER_OF = {f.name: _PARSE_AS[f.type] for f in fields(RunConfig)}
 def _convert(key: str, text: str):
     try:
         return _PARSER_OF[key](text)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {text!r}") from exc
 

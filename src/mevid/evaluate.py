@@ -46,8 +46,7 @@ def embed_dataset(model, videos, split_of: dict[str, str]) -> EmbeddedDataset:
     """Run the frozen model over full videos; no gradients are recorded."""
     out = []
     for video in videos:
-        emb = model.embed_frames([l[None] for l in video.layers],
-                                 np.asarray(video.timestamps)[None]).data[0].copy()
+        emb = model.embed_frames([l[None] for l in video.layers]).data[0].copy()
         out.append(EmbeddedVideo(
             video_id=video.video_id,
             embeddings=emb,

@@ -81,13 +81,11 @@ class VideoFeatures:
     """Per-frame, per-layer spatial token grids with optional annotations.
 
     Every layer is a float32 array of shape [T, S, D]; all layers share
-    identical T, S, D. Timestamps are strictly increasing frame indices.
+    identical T, S, D. A frame's time is its index, 0..T-1.
     """
 
     video_id: str
-    num_frames: int
     layers: list[np.ndarray]
-    timestamps: np.ndarray
     labels: np.ndarray | None = None
     progression: np.ndarray | None = None
 
@@ -98,15 +96,14 @@ class VideoFeatures:
         for arr in self.layers:
             if arr.ndim != 3 or arr.shape != shape:
                 raise ValueError(f"layer shapes differ: {arr.shape} vs {shape}")
-        if shape[0] != self.num_frames:
-            raise ValueError(f"num_frames {self.num_frames} != layer T {shape[0]}")
-        ts = np.asarray(self.timestamps)
-        if ts.shape != (self.num_frames,) or np.any(np.diff(ts) <= 0):
-            raise ValueError("timestamps must be strictly increasing, one per frame")
         if self.labels is not None and len(self.labels) != self.num_frames:
             raise ValueError("labels length does not match frame count")
         if self.progression is not None and len(self.progression) != self.num_frames:
             raise ValueError("progression length does not match frame count")
+
+    @property
+    def num_frames(self) -> int:
+        return self.layers[0].shape[0]
 
     @property
     def num_layers(self) -> int:
@@ -225,9 +222,7 @@ def generate_synthetic_dataset(spec: SyntheticSpec) -> list[VideoFeatures]:
         videos.append(
             VideoFeatures(
                 video_id=vl.video_id,
-                num_frames=spec.frames_per_video,
                 layers=layers,
-                timestamps=np.arange(spec.frames_per_video, dtype=np.int64),
                 labels=vl.labels.copy(),
                 progression=vl.progression.copy(),
             )
@@ -248,9 +243,7 @@ def select_layers(features: VideoFeatures, layer_ids: list[int]) -> VideoFeature
             )
     return VideoFeatures(
         video_id=features.video_id,
-        num_frames=features.num_frames,
         layers=[features.layers[i] for i in layer_ids],
-        timestamps=features.timestamps,
         labels=features.labels,
         progression=features.progression,
     )
@@ -261,7 +254,7 @@ def select_layers(features: VideoFeatures, layer_ids: list[int]) -> VideoFeature
 #   magic "MVFF", version u32, T u32, L u32, S u32, D u32,
 #   T*L*S*D float32 ordered [frame][layer][token][channel],
 #   label flag u8; if 1: T u32 labels then T float32 progression values.
-# Timestamps are implicit 0..T-1.
+# A frame's time is its index, 0..T-1, so no timestamps are stored.
 
 _MAGIC = b"MVFF"
 _VERSION = 1
@@ -271,8 +264,6 @@ _HEADER = struct.Struct("<4sIIIII")
 def write_mvff(features: VideoFeatures, path) -> None:
     t, l = features.num_frames, features.num_layers
     s, d = features.num_tokens, features.channels
-    if not np.array_equal(features.timestamps, np.arange(t)):
-        raise ValueError("MVFF v1 stores implicit timestamps 0..T-1 only")
     has_labels = features.labels is not None or features.progression is not None
     if has_labels and (features.labels is None or features.progression is None):
         raise ValueError("MVFF v1 stores labels and progression together or not at all")
@@ -306,6 +297,9 @@ def load_mvff(path, video_id: str | None = None) -> VideoFeatures:
         raise MagicError(f"bad magic {magic!r}, expected {_MAGIC!r}")
     if version != _VERSION:
         raise VersionError(f"unsupported version {version}, expected {_VERSION}")
+    for name, size in (("T", t), ("L", l), ("S", s), ("D", d)):
+        if size == 0:
+            raise FormatError(f"header field {name} is 0; every dimension must be positive")
 
     offset = _HEADER.size
     payload = t * l * s * d * 4
@@ -341,9 +335,7 @@ def load_mvff(path, video_id: str | None = None) -> VideoFeatures:
         video_id = os.path.splitext(os.path.basename(str(path)))[0]
     return VideoFeatures(
         video_id=video_id,
-        num_frames=t,
         layers=[np.ascontiguousarray(grid[:, i]) for i in range(l)],
-        timestamps=np.arange(t, dtype=np.int64),
         labels=labels,
         progression=progression,
     )

@@ -105,16 +105,16 @@ class Model:
         return sp.extract_entities_from_arrays([l[None] for l in features.layers],
                                                self.params)
 
-    def embed_frames(self, layers: list[np.ndarray], timestamps: np.ndarray) -> Tensor:
+    def embed_frames(self, layers: list[np.ndarray]) -> Tensor:
         """Pooled [B, T, d] per-frame embeddings of B sequences, given raw
-        per-layer [B, T, S, D] arrays and [B, T] timestamps. Training runs
-        every view of a step as one batch; evaluation runs one video."""
+        per-layer [B, T, S, D] arrays. Training runs every view of a step
+        as one batch; evaluation runs one video."""
         if self.config.arch == "entity":
             entities = sp.extract_entities_from_arrays(layers, self.params)
         else:
             entities = tf.split_frame_tokens(
                 layers[-1], self.params, self.config.num_entities, self.config.model_dim)
-        tokens = tf.build_frame_tokens(entities, self.config, timestamps)
+        tokens = tf.build_frame_tokens(entities, self.config)
         fused = tf.fuse_tokens(tokens, self.config, self.params)
         return tf.pool_output(fused, entities.num_frames, entities.num_entities,
                               self.config.pooling)

@@ -85,35 +85,33 @@ def sinusoidal_encoding(timestamps: np.ndarray, dim: int, dtype=np.float32) -> n
     return enc.astype(dtype)
 
 
-def build_frame_tokens(entities: EntitySet, config: ModelConfig,
-                       timestamps: np.ndarray) -> Tensor:
+def build_frame_tokens(entities: EntitySet, config: ModelConfig) -> Tensor:
     """Tag entity features with one-hot IDs and add the frame position code.
 
-    token(t, e) = concat(feature(t, e), onehot(e)) + pos(timestamp[t]),
-    with the position code shared by a frame's entities and zero on the
-    E ID coordinates. `timestamps` is [B, T], one row per sequence.
-    Positions are rescaled so the last frame of each sequence sits at
-    `POS_RANGE`; sequences of different lengths then share one code range
-    instead of forcing extrapolation.
+    token(t, e) = concat(feature(t, e), onehot(e)) + pos(t), with the
+    position code shared by a frame's entities and zero on the E ID
+    coordinates. The code sees each sequence's own frame indices 0..T-1:
+    a sampled view in training, the whole video in evaluation. A code that
+    named the source frame would let the model fit the contrastive targets
+    from position alone, with no pressure to read the frame content.
+    Positions are rescaled so the last frame sits at `POS_RANGE`;
+    sequences of different lengths then share one code range instead of
+    forcing extrapolation.
     """
     b, t, e = entities.features.shape[0], entities.num_frames, entities.num_entities
     if e != config.num_entities:
         raise ValueError(
             f"entity set has E={e}, fusion config expects E={config.num_entities}"
         )
-    ts = np.asarray(timestamps, dtype=np.float64)
-    if ts.shape != (b, t):
-        raise ValueError(f"timestamps of shape {ts.shape} for {b} sequences of {t} frames")
     dtype = entities.features.dtype
 
     ids = np.broadcast_to(np.tile(np.eye(e, dtype=dtype), (t, 1)), (b, t * e, e))
     tokens = T.concat([entities.features, Tensor(ids, dtype=dtype)], axis=2)
 
-    span = ts.max(axis=1) if t > 1 else np.ones(b)
-    positions = ts * (POS_RANGE / np.maximum(span, 1.0))[:, None]
+    positions = np.arange(t, dtype=np.float64) * (POS_RANGE / max(t - 1, 1.0))
     pos = config.pos_scale * sinusoidal_encoding(positions, config.model_dim, dtype)
     padded = np.zeros((b, t * e, config.token_dim), dtype=dtype)
-    padded[:, :, : config.model_dim] = np.repeat(pos, e, axis=1)
+    padded[:, :, : config.model_dim] = np.repeat(pos, e, axis=0)
     return T.add(tokens, Tensor(padded, dtype=dtype))
 
 

@@ -52,15 +52,8 @@ class TrainConfig:
 # view sampling
 
 
-@dataclass
-class TwoViews:
-    indices1: np.ndarray
-    timestamps1: np.ndarray
-    indices2: np.ndarray
-    timestamps2: np.ndarray
-
-
-def sample_two_views(video: VideoFeatures, view_len: int, seed: int) -> TwoViews:
+def sample_two_views(video: VideoFeatures, view_len: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independent sorted uniform-without-replacement frame subsets."""
     t = video.num_frames
     if t < view_len:
@@ -68,8 +61,7 @@ def sample_two_views(video: VideoFeatures, view_len: int, seed: int) -> TwoViews
     rng = np.random.default_rng(seed)
     idx1 = np.sort(rng.choice(t, size=view_len, replace=False))
     idx2 = np.sort(rng.choice(t, size=view_len, replace=False))
-    ts = np.asarray(video.timestamps)
-    return TwoViews(idx1, ts[idx1], idx2, ts[idx2])
+    return idx1, idx2
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +220,14 @@ def _step_loss(model: Model, batch: list[VideoFeatures], seeds: list[int],
     """
     views = [sample_two_views(video, config.view_len, seed)
              for video, seed in zip(batch, seeds)]
-    picks = [(video, idx) for video, v in zip(batch, views)
-             for idx in (v.indices1, v.indices2)]
+    picks = [(video, idx) for video, pair in zip(batch, views) for idx in pair]
     layers = [np.stack([video.layers[l][idx] for video, idx in picks])
               for l in range(len(batch[0].layers))]
-    # The position code sees view-local indices only; the loss targets use
-    # the original timestamps. A code that named the true frame index would
-    # let the fusion model fit the Gaussian targets from position alone,
-    # with no pressure to read the frame content.
-    positions = np.tile(np.arange(config.view_len), (len(picks), 1))
-    z = model.project(model.embed_frames(layers, positions))    # [2B, N, d]
+    z = model.project(model.embed_frames(layers))    # [2B, N, d]
     b, n, d = len(batch), config.view_len, z.shape[2]
     pairs = T.reshape(z, (b, 2, n, d))
     z1, z2 = (T.reshape(T.narrow(pairs, 1, i, 1), (b, n, d)) for i in (0, 1))
     return sequence_contrastive_loss(
-        z1, np.stack([v.timestamps1 for v in views]),
-        z2, np.stack([v.timestamps2 for v in views]),
+        z1, np.stack([idx1 for idx1, _ in views]),
+        z2, np.stack([idx2 for _, idx2 in views]),
         config.scl_sigma, config.scl_temperature)

@@ -79,8 +79,8 @@ def test_criterion_1_gradient_suite():
 
     def pipeline_loss(params):
         model.params = params
-        z1 = model.project(model.embed_frames(layers1, np.arange(2)[None]))
-        z2 = model.project(model.embed_frames(layers2, np.arange(2)[None]))
+        z1 = model.project(model.embed_frames(layers1))
+        z2 = model.project(model.embed_frames(layers2))
         return tr.sequence_contrastive_loss(z1, idx1[None], z2, idx2[None], 1.5, 0.2)
 
     start = time.monotonic()
@@ -100,19 +100,16 @@ def test_criterion_2_attention_invariants():
     rng = np.random.default_rng(0)
     params = init_pooling_params(rng, 2, 8, 3, 4, 4, 6)
     video = VideoFeatures(
-        video_id="v", num_frames=3,
-        layers=[rng.standard_normal((3, 16, 8)).astype(np.float32) for _ in range(2)],
-        timestamps=np.arange(3))
+        video_id="v",
+        layers=[rng.standard_normal((3, 16, 8)).astype(np.float32) for _ in range(2)])
     ents = extract_entities_from_arrays([l[None] for l in video.layers], params)
     row_sums_ok = all(
         np.abs(ents.attention[l].data.sum(axis=2) - 1.0).max() < 1e-5
         for l in range(2))
 
     token = rng.standard_normal(8).astype(np.float32)
-    degenerate = VideoFeatures(
-        video_id="d", num_frames=2,
-        layers=[np.tile(token, (2, 16, 1)) for _ in range(2)],
-        timestamps=np.arange(2))
+    degenerate = VideoFeatures(video_id="d",
+                               layers=[np.tile(token, (2, 16, 1)) for _ in range(2)])
     other = init_pooling_params(np.random.default_rng(99), 2, 8, 3, 4, 4, 6)
     for l in range(2):
         for name in (f"pool.layer{l}.key_proj", f"pool.layer{l}.value_proj"):
@@ -141,7 +138,7 @@ def test_criterion_3_permutation_invariants():
     feats = rng.standard_normal((1, t * e, config.model_dim)).astype(np.float32)
     ents = EntitySet(features=Tensor(feats), num_frames=t, num_entities=e,
                      attention=[])
-    tokens = tf.build_frame_tokens(ents, config, np.arange(t)[None]).data[0]
+    tokens = tf.build_frame_tokens(ents, config).data[0]
 
     def pooled(arr, mode):
         return tf.pool_output(tf.fuse_tokens(Tensor(arr[None]), config, params),

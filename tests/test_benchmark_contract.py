@@ -42,3 +42,20 @@ def test_every_benchmarked_op_kind_exists(monkeypatch):
     assert kinds
     run = _load_run(monkeypatch)
     assert [kind for kind in kinds if kind not in run.OP_KINDS] == []
+
+
+def test_setup_path_counts_every_frame(monkeypatch, tmp_path):
+    """perfbench's set-up loads a generated dataset and sums `num_frames`."""
+    from mevid import cli
+    from mevid.config import load_config
+
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("videos = 3\nframes = 8\ngrid = 2\nchannels = 4\nphases = 2\n"
+                   "layers = 2\npatch = 1\nlayer_select = 1\n")
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    run = _load_run(monkeypatch)
+    videos, split_of = run.load_data(load_config(str(cfg)), str(data))
+    assert sorted(split_of) == [v.video_id for v in videos]
+    assert sum(v.num_frames for v in videos) == 3 * 8
+    assert all(v.num_layers == 1 for v in videos)

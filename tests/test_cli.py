@@ -144,10 +144,9 @@ class TestPipelineCommands:
         video = load_mvff(data / "vid0000.mvff")
         cropped = tmp_path / "cropped"
         cropped.mkdir()
-        write_mvff(VideoFeatures(video_id="vid0000", num_frames=video.num_frames,
+        write_mvff(VideoFeatures(video_id="vid0000",
                                  layers=[l[:, :6] for l in video.layers],
-                                 timestamps=video.timestamps, labels=video.labels,
-                                 progression=video.progression),
+                                 labels=video.labels, progression=video.progression),
                    cropped / "vid0000.mvff")
         (cropped / "manifest.json").write_text(json.dumps(
             {"videos": [{"id": "vid0000", "file": "vid0000.mvff", "split": "test"}]}))
@@ -155,6 +154,25 @@ class TestPipelineCommands:
         assert main(["attn", str(ckpt), "vid0000", "--config", small_config,
                      "--data", str(cropped), "--out", str(tmp_path / "maps")]) == 1
         assert "6 tokens" in capsys.readouterr().err
+
+    def test_attn_reads_only_the_requested_video(self, trained, capsys, tmp_path,
+                                                 small_config):
+        data, ckpt = trained
+        with open(data / "vid0005.mvff", "ab") as fh:
+            fh.write(b"junk")
+        maps = tmp_path / "maps"
+        assert main(["attn", str(ckpt), "vid0000", "--config", small_config,
+                     "--data", str(data), "--out", str(maps)]) == 0
+        assert len(os.listdir(maps)) == 96
+
+    def test_attn_fixed_width_rejected_before_reading_files(self, tmp_path, capsys):
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text(SMALL_CFG + "arch = fixed_width\n")
+        code = main(["attn", str(tmp_path / "none.mvck"), "vid0000", "--config", str(cfg),
+                     "--data", str(tmp_path / "no_data"), "--out", str(tmp_path / "maps")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "arch" in err and "No such file" not in err
 
     def test_checkpoint_config_mismatch_is_runtime_error(self, trained, tmp_path,
                                                          capsys, small_config):
@@ -204,6 +222,10 @@ class TestErrors:
                      "seed = -1", "data_seed = -3", "heads = 0"):
             cfg.write_text(line + "\n")
             assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        capsys.readouterr()
+        cfg.write_text("layer_select = \n")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        assert "at least one layer" in capsys.readouterr().err
 
     def test_negative_seed_override_exit_one(self, tmp_path, small_config, capsys):
         data = tmp_path / "data"

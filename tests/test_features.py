@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -125,23 +127,19 @@ class TestMvffFormat:
             assert np.array_equal(la, lb)
         assert np.array_equal(loaded.labels, video.labels)
         assert np.array_equal(loaded.progression, video.progression)
-        assert np.array_equal(loaded.timestamps, video.timestamps)
+        assert loaded.num_frames == video.num_frames
 
     def test_byte_accounting(self, tmp_path):
         t, s, d = 2, 4, 3
-        video = VideoFeatures(
-            video_id="v", num_frames=t,
-            layers=[np.zeros((t, s, d), dtype=np.float32)],
-            timestamps=np.arange(t))
+        video = VideoFeatures(video_id="v", layers=[np.zeros((t, s, d), dtype=np.float32)])
         path = tmp_path / "v.mvff"
         write_mvff(video, path)
         # header 24 + payload T*L*S*D*4 + label flag byte
         assert path.stat().st_size == 24 + t * 1 * s * d * 4 + 1
 
         labeled = VideoFeatures(
-            video_id="v", num_frames=t,
+            video_id="v",
             layers=[np.zeros((t, s, d), dtype=np.float32)],
-            timestamps=np.arange(t),
             labels=np.array([0, 1]), progression=np.array([0.5, 0.25], dtype=np.float32))
         write_mvff(labeled, path)
         assert path.stat().st_size == 24 + t * s * d * 4 + 1 + t * 4 + t * 4
@@ -198,11 +196,18 @@ class TestMvffFormat:
             with pytest.raises(FormatError, match=message):
                 load_mvff(path)
 
+    @pytest.mark.parametrize("field", ["T", "L", "S", "D"])
+    def test_zero_dimension_rejected(self, tmp_path, field):
+        dims = {"T": 2, "L": 1, "S": 1, "D": 1, field: 0}
+        path = tmp_path / "zero.mvff"
+        path.write_bytes(struct.pack("<4sIIIII", b"MVFF", 1, dims["T"], dims["L"],
+                                     dims["S"], dims["D"]) + b"\x00")
+        with pytest.raises(FormatError, match=f"field {field} is 0"):
+            load_mvff(path)
+
     def test_bad_label_flag(self, tmp_path):
         t, s, d = 2, 1, 1
-        video = VideoFeatures(video_id="v", num_frames=t,
-                              layers=[np.zeros((t, s, d), dtype=np.float32)],
-                              timestamps=np.arange(t))
+        video = VideoFeatures(video_id="v", layers=[np.zeros((t, s, d), dtype=np.float32)])
         path = tmp_path / "v.mvff"
         write_mvff(video, path)
         raw = bytearray(path.read_bytes())
@@ -211,17 +216,10 @@ class TestMvffFormat:
         with pytest.raises(FormatError, match="flag"):
             load_mvff(path)
 
-    def test_nondefault_timestamps_rejected(self, tmp_path):
-        video = VideoFeatures(video_id="v", num_frames=2,
-                              layers=[np.zeros((2, 1, 1), dtype=np.float32)],
-                              timestamps=np.array([3, 9]))
-        with pytest.raises(ValueError, match="implicit"):
-            write_mvff(video, tmp_path / "v.mvff")
-
     def test_labels_without_progression_rejected(self, tmp_path):
-        video = VideoFeatures(video_id="v", num_frames=2,
+        video = VideoFeatures(video_id="v",
                               layers=[np.zeros((2, 1, 1), dtype=np.float32)],
-                              timestamps=np.arange(2), labels=np.array([0, 1]))
+                              labels=np.array([0, 1]))
         with pytest.raises(ValueError, match="together"):
             write_mvff(video, tmp_path / "v.mvff")
 
@@ -232,9 +230,8 @@ class TestMvffFormat:
     def test_round_trip_property(self, tmp_path_factory, t, l, s, d, labeled, seed):
         rng = np.random.default_rng(seed)
         video = VideoFeatures(
-            video_id="prop", num_frames=t,
+            video_id="prop",
             layers=[rng.standard_normal((t, s, d)).astype(np.float32) for _ in range(l)],
-            timestamps=np.arange(t),
             labels=rng.integers(0, 4, t) if labeled else None,
             progression=rng.uniform(0, 1, t).astype(np.float32) if labeled else None)
         path = tmp_path_factory.mktemp("mvff") / "prop.mvff"

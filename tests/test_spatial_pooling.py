@@ -8,9 +8,8 @@ from mevid.tensor import grad_check
 
 def make_features(rng, t=3, s=16, d=8, layers=2):
     return VideoFeatures(
-        video_id="v", num_frames=t,
-        layers=[rng.standard_normal((t, s, d)).astype(np.float32) for _ in range(layers)],
-        timestamps=np.arange(t))
+        video_id="v",
+        layers=[rng.standard_normal((t, s, d)).astype(np.float32) for _ in range(layers)])
 
 
 def one_sequence(layers):
@@ -37,8 +36,7 @@ class TestExtractEntities:
         t, s, d = 2, 10, 8
         token = rng.standard_normal(d).astype(np.float32)
         layers = [np.tile(token, (t, s, 1)) for _ in range(2)]
-        video = VideoFeatures(video_id="v", num_frames=t, layers=layers,
-                              timestamps=np.arange(t))
+        video = VideoFeatures(video_id="v", layers=layers)
         params_a = make_params(np.random.default_rng(2))
         params_b = make_params(np.random.default_rng(3))
         # same projections, different queries
@@ -70,8 +68,7 @@ class TestExtractEntities:
         tokens[0, 0] = 100.0 * q
         for j in range(1, 5):
             tokens[0, j] = basis[:, (j - 1) % 3]
-        video = VideoFeatures(video_id="v", num_frames=1, layers=[tokens],
-                              timestamps=np.arange(1))
+        video = VideoFeatures(video_id="v", layers=[tokens])
         ents = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
         expected = ((tokens[0, 0] @ params["pool.layer0.value_proj"].data)
                     @ params["pool.out_proj"].data)
@@ -81,8 +78,7 @@ class TestExtractEntities:
         rng = np.random.default_rng(5)
         frame = rng.standard_normal((1, 12, 8)).astype(np.float32)
         layers = [np.concatenate([frame, frame], axis=0) for _ in range(2)]
-        video = VideoFeatures(video_id="v", num_frames=2, layers=layers,
-                              timestamps=np.arange(2))
+        video = VideoFeatures(video_id="v", layers=layers)
         ents = sp.extract_entities_from_arrays(one_sequence(video.layers), make_params(rng))
         e = ents.num_entities
         assert np.array_equal(ents.features.data[0, :e], ents.features.data[0, e:])
@@ -92,10 +88,7 @@ class TestExtractEntities:
         video = make_features(rng, t=2, s=9)
         params = make_params(rng)
         perm = rng.permutation(9)
-        permuted = VideoFeatures(
-            video_id="v", num_frames=2,
-            layers=[layer[:, perm] for layer in video.layers],
-            timestamps=np.arange(2))
+        permuted = VideoFeatures(video_id="v", layers=[layer[:, perm] for layer in video.layers])
         base = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
         swapped = sp.extract_entities_from_arrays(one_sequence(permuted.layers), params)
         assert np.abs(base.features.data - swapped.features.data).max() < 1e-6
@@ -110,9 +103,7 @@ class TestExtractEntities:
             s, d = 16, 8
             grids = rng.standard_normal((3, s, d))
             grids /= np.linalg.norm(grids, axis=2, keepdims=True)  # unit-norm tokens
-            video = VideoFeatures(video_id="v", num_frames=3,
-                                  layers=[grids.astype(np.float32)],
-                                  timestamps=np.arange(3))
+            video = VideoFeatures(video_id="v", layers=[grids.astype(np.float32)])
             params = sp.init_pooling_params(rng, 1, d, 3, 8, 8, 8)
             ents = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
             assert ents.attention[0].data.max() < 0.9

@@ -24,16 +24,11 @@ def entity_set(rng, t=4, e=3, d=8):
     return EntitySet(features=Tensor(feats), num_frames=t, num_entities=e, attention=[])
 
 
-def frames(t):
-    """Timestamps 0..t-1 of one sequence."""
-    return np.arange(t)[None]
-
-
 class TestBuildFrameTokens:
     def test_id_suffix(self):
         rng = np.random.default_rng(0)
         ents = entity_set(rng)
-        tokens = tf.build_frame_tokens(ents, CFG, frames(4)).data[0]
+        tokens = tf.build_frame_tokens(ents, CFG).data[0]
         assert tokens.shape == (12, CFG.model_dim + 3)
         # position code is zero on the ID coordinates, so the suffix survives
         ids = tokens[:, CFG.model_dim:]
@@ -43,7 +38,7 @@ class TestBuildFrameTokens:
     def test_frame_zero_code_is_sin0_cos1(self):
         rng = np.random.default_rng(1)
         ents = entity_set(rng, t=2)
-        tokens = tf.build_frame_tokens(ents, CFG, frames(2)).data[0]
+        tokens = tf.build_frame_tokens(ents, CFG).data[0]
         pe0 = tokens[0, : CFG.model_dim] - ents.features.data[0, 0]
         assert np.allclose(pe0[0::2], 0.0, atol=1e-6)
         assert np.allclose(pe0[1::2], 1.0, atol=1e-6)
@@ -53,7 +48,7 @@ class TestBuildFrameTokens:
         frame = rng.standard_normal((3, CFG.model_dim)).astype(np.float32)
         ents = EntitySet(features=Tensor(np.tile(frame, (1, 2, 1))), num_frames=2,
                          num_entities=3, attention=[])
-        tokens = tf.build_frame_tokens(ents, CFG, frames(2)).data[0]
+        tokens = tf.build_frame_tokens(ents, CFG).data[0]
         diff = tokens[3:] - tokens[:3]
         assert np.allclose(diff, diff[0], atol=1e-6)  # same shift for all entities
         assert np.allclose(diff[:, CFG.model_dim:], 0.0)
@@ -61,7 +56,7 @@ class TestBuildFrameTokens:
     def test_entity_count_mismatch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="E="):
-            tf.build_frame_tokens(entity_set(rng, e=2), CFG, frames(4))
+            tf.build_frame_tokens(entity_set(rng, e=2), CFG)
 
 
 class TestFusion:
@@ -72,8 +67,7 @@ class TestFusion:
         params = self._params()
         for t, e in [(2, 3), (5, 3)]:
             rng = np.random.default_rng(t)
-            tokens = tf.build_frame_tokens(entity_set(rng, t=t, e=e),
-                                           CFG, frames(t))
+            tokens = tf.build_frame_tokens(entity_set(rng, t=t, e=e), CFG)
             out = tf.fuse_tokens(tokens, CFG, params)
             assert out.shape == (1, t * e, CFG.model_dim)
 
@@ -81,7 +75,7 @@ class TestFusion:
         rng = np.random.default_rng(4)
         params = self._params()
         t, e = 5, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, frames(t)).data[0]
+        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
         base = tf.fuse_tokens(Tensor(tokens[None]), CFG, params).data[0]
         swapped = tf.fuse_tokens(Tensor(tokens[perm][None]), CFG, params).data[0]
@@ -91,7 +85,7 @@ class TestFusion:
         rng = np.random.default_rng(5)
         params = self._params()
         t, e = 5, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, frames(t)).data[0]
+        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
         pool = lambda arr: tf.pool_output(
             tf.fuse_tokens(Tensor(arr[None]), CFG, params), t, e, "cls_style").data
@@ -101,7 +95,7 @@ class TestFusion:
         rng = np.random.default_rng(6)
         params = self._params()
         t, e = 4, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG, frames(t)).data[0]
+        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [2, 0, 1]].reshape(-1)
         pool = lambda arr: tf.pool_output(
             tf.fuse_tokens(Tensor(arr[None]), CFG, params), t, e, "average").data
@@ -117,7 +111,7 @@ class TestFusion:
         def f(p):
             ents = EntitySet(features=Tensor(feats, dtype=p["fusion.input.w"].dtype),
                              num_frames=4, num_entities=2, attention=[])
-            tokens = tf.build_frame_tokens(ents, small, frames(4))
+            tokens = tf.build_frame_tokens(ents, small)
             out = tf.pool_output(tf.fuse_tokens(tokens, small, p), 4, 2, "average")
             return T.sum_all(T.mul(out, out))
 
@@ -212,8 +206,8 @@ class TestDeterminismAndCheckpoint:
             assert np.array_equal(p1.data, p2.data)
         rng = np.random.default_rng(0)
         layers = [rng.standard_normal((1, 3, 4, 8)).astype(np.float32) for _ in range(2)]
-        out1 = m1.embed_frames(layers, frames(3)).data
-        out2 = m2.embed_frames(layers, frames(3)).data
+        out1 = m1.embed_frames(layers).data
+        out2 = m2.embed_frames(layers).data
         assert np.array_equal(out1, out2)
 
     def test_checkpoint_round_trip(self):
