@@ -8,9 +8,10 @@ run can always be reproduced from its own log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from .features import SyntheticSpec
+from .features import SyntheticSpec, check_layer_select
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -21,12 +22,9 @@ class ConfigError(ValueError):
 
 def _parse_layer_list(text: str) -> tuple[int, ...]:
     try:
-        ids = tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"layer_select must be comma-separated integers, got {text!r}") from exc
-    if not ids:
-        raise ConfigError("layer_select must name at least one layer")
-    return ids
 
 
 @dataclass(frozen=True)
@@ -72,50 +70,17 @@ class RunConfig:
     probe_lr: float = 1.0
     ridge_lambda: float = 1e-4
 
+    def _section(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            num_videos=self.videos,
-            frames_per_video=self.frames,
-            grid_side=self.grid,
-            channels=self.channels,
-            num_phases=self.phases,
-            num_layers=self.layers,
-            actor_patch_side=self.patch,
-            noise_sigma=self.noise,
-            seed=self.data_seed,
-        )
+        return self._section(SyntheticSpec)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            arch=self.arch,
-            num_entities=self.entities,
-            num_layers=len(self.layer_select),
-            channels=self.channels,
-            query_dim=self.query_dim,
-            value_dim=self.value_dim,
-            model_dim=self.model_dim,
-            blocks=self.blocks,
-            heads=self.heads,
-            mlp_ratio=self.mlp_ratio,
-            pooling=self.pooling,
-            pos_scale=self.pos_scale,
-            proj_hidden=self.proj_hidden,
-            proj_dim=self.proj_dim,
-        )
+        return self._section(ModelConfig)
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            view_len=self.view_len,
-            scl_sigma=self.scl_sigma,
-            scl_temperature=self.scl_temperature,
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            max_steps=self.max_steps,
-            batch_size=self.batch,
-            seed=self.seed if seed is None else seed,
-        )
+    def train_config(self) -> TrainConfig:
+        return self._section(TrainConfig)
 
 
 # Each key is parsed by the type its `RunConfig` field declares; with
@@ -134,25 +99,24 @@ def _convert(key: str, text: str):
 
 
 def _validate(config: RunConfig) -> RunConfig:
+    """Each section checks its own keys; here are the checks that span
+    sections or concern keys that belong to none."""
     try:
         config.synthetic_spec()
         config.model_config()
         config.train_config()
+        check_layer_select(config.layer_select, config.layers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key in ("seed", "data_seed"):
-        if getattr(config, key) < 0:
-            raise ConfigError(f"{key} must be >= 0, got {getattr(config, key)}")
     if not 0.0 < config.train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {config.train_fraction}")
-    for i in config.layer_select:
-        if not 0 <= i < config.layers:
-            raise ConfigError(
-                f"layer_select id {i} out of range for {config.layers} layers")
-    if any(b <= a for a, b in zip(config.layer_select, config.layer_select[1:])):
-        raise ConfigError(f"layer_select must strictly increase, got {config.layer_select}")
     if config.probe_epochs < 1:
         raise ConfigError(f"probe_epochs must be >= 1, got {config.probe_epochs}")
+    # written so that NaN fails both ranges
+    if not 0.0 < config.probe_lr < math.inf:
+        raise ConfigError(f"probe_lr must be finite and > 0, got {config.probe_lr}")
+    if not 0.0 <= config.ridge_lambda < math.inf:
+        raise ConfigError(f"ridge_lambda must be finite and >= 0, got {config.ridge_lambda}")
     return config
 
 

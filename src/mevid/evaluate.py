@@ -195,12 +195,6 @@ def distance_table(videos: list[EmbeddedVideo]) -> DistanceTable:
 # (3) rank correlation of nearest-neighbor matches
 
 
-def nearest_neighbor_assignment(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
-    """For each frame of a, the index of its Euclidean nearest frame in b;
-    ties break toward the lower index."""
-    return np.argmin(squared_distances(emb_a, emb_b), axis=1)  # the first minimum
-
-
 def tau_of_assignment(assignment: np.ndarray) -> float:
     """Concordant-minus-discordant pair fraction; equal matches count 0.
 
@@ -226,10 +220,6 @@ def _tau_of_distances(d2: np.ndarray) -> float:
     if d2.shape[0] < 2 or d2.shape[1] < 2:
         raise ValueError("need at least 2 frames per video")
     return tau_of_assignment(np.argmin(d2, axis=1))
-
-
-def kendalls_tau(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    return _tau_of_distances(squared_distances(emb_a, emb_b))
 
 
 def dataset_tau(distances: DistanceTable) -> float:

@@ -37,43 +37,34 @@ class TruncatedError(FormatError):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of the deterministic synthetic backbone."""
+    """Parameters of the deterministic synthetic backbone. Fields are
+    named as the run config's keys; `RunConfig` holds their defaults."""
 
-    num_videos: int = 40
-    frames_per_video: int = 32
-    grid_side: int = 8
-    channels: int = 32
-    num_phases: int = 4
-    num_layers: int = 3
-    actor_patch_side: int = 3
-    noise_sigma: float = 0.1
-    seed: int = 0
+    videos: int
+    frames: int
+    grid: int
+    channels: int
+    phases: int
+    layers: int
+    patch: int
+    noise: float
+    data_seed: int
 
     def __post_init__(self):
-        counts = {
-            "num_videos": self.num_videos,
-            "frames_per_video": self.frames_per_video,
-            "grid_side": self.grid_side,
-            "channels": self.channels,
-            "num_layers": self.num_layers,
-            "actor_patch_side": self.actor_patch_side,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise SpecError(f"{name} must be positive, got {value}")
-        if self.num_phases < 2:
-            raise SpecError(f"num_phases must be >= 2, got {self.num_phases}")
-        if self.actor_patch_side > self.grid_side:
+        for key in ("videos", "frames", "grid", "channels", "layers", "patch"):
+            if getattr(self, key) < 1:
+                raise SpecError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.phases < 2:
+            raise SpecError(f"phases must be >= 2, got {self.phases}")
+        if self.patch > self.grid:
+            raise SpecError(f"patch {self.patch} exceeds grid {self.grid}")
+        if not 0 <= self.noise < np.inf:
+            raise SpecError(f"noise must be finite and >= 0, got {self.noise}")
+        if 2 * self.phases > self.frames:
             raise SpecError(
-                f"actor patch side {self.actor_patch_side} exceeds grid side {self.grid_side}"
-            )
-        if self.noise_sigma < 0:
-            raise SpecError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
-        if 2 * self.num_phases > self.frames_per_video:
-            raise SpecError(
-                f"cannot fit {self.num_phases} phases of >= 2 frames into "
-                f"{self.frames_per_video} frames"
-            )
+                f"frames {self.frames} cannot hold phases {self.phases} of >= 2 frames each")
+        if self.data_seed < 0:
+            raise SpecError(f"data_seed must be >= 0, got {self.data_seed}")
 
 
 @dataclass
@@ -161,15 +152,15 @@ def _actor_positions(rng: np.random.Generator, frames: int, grid: int, patch: in
 
 def synthetic_layout(spec: SyntheticSpec) -> DatasetLayout:
     """Reconstruct the dataset's ground truth from its seed alone."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.data_seed)
     d = spec.channels
     # Signatures share a common "actor present" component; the per-phase
     # parts stay distinct. Phase identity needs the distinct parts, while
     # the actor itself remains one concept across phases.
     actor_common = rng.standard_normal((1, d))
-    signatures = actor_common + rng.standard_normal((spec.num_phases, d))
+    signatures = actor_common + rng.standard_normal((spec.phases, d))
     maps = [np.eye(d)]
-    for _ in range(spec.num_layers - 1):
+    for _ in range(spec.layers - 1):
         maps.append(rng.standard_normal((d, d)) / np.sqrt(d))
 
     layout = DatasetLayout(
@@ -177,15 +168,15 @@ def synthetic_layout(spec: SyntheticSpec) -> DatasetLayout:
         phase_signatures=signatures.astype(np.float32),
         layer_maps=[m.astype(np.float32) for m in maps],
     )
-    t_total = spec.frames_per_video
-    for v in range(spec.num_videos):
+    t_total = spec.frames
+    for v in range(spec.videos):
         background = rng.standard_normal(d).astype(np.float32)
-        durations = _phase_durations(rng, t_total, spec.num_phases)
-        labels = np.repeat(np.arange(spec.num_phases), durations)
+        durations = _phase_durations(rng, t_total, spec.phases)
+        labels = np.repeat(np.arange(spec.phases), durations)
         boundaries = np.cumsum(durations)
         next_boundary = boundaries[labels]
         progression = ((next_boundary - np.arange(t_total)) / t_total).astype(np.float32)
-        positions = _actor_positions(rng, t_total, spec.grid_side, spec.actor_patch_side)
+        positions = _actor_positions(rng, t_total, spec.grid, spec.patch)
         layout.videos.append(
             VideoLayout(
                 video_id=f"vid{v:04d}",
@@ -208,16 +199,16 @@ def _patch_token_indices(pos: np.ndarray, grid: int, patch: int) -> np.ndarray:
 def generate_synthetic_dataset(spec: SyntheticSpec) -> list[VideoFeatures]:
     """Generate the full dataset; a pure function of the spec (incl. seed)."""
     layout = synthetic_layout(spec)
-    noise_rng = np.random.default_rng([spec.seed, 1])
-    s = spec.grid_side * spec.grid_side
+    noise_rng = np.random.default_rng([spec.data_seed, 1])
+    s = spec.grid * spec.grid
     videos = []
     for vl in layout.videos:
-        base = np.tile(vl.background, (spec.frames_per_video, s, 1)).astype(np.float32)
-        for t in range(spec.frames_per_video):
-            tokens = _patch_token_indices(vl.positions[t], spec.grid_side, spec.actor_patch_side)
+        base = np.tile(vl.background, (spec.frames, s, 1)).astype(np.float32)
+        for t in range(spec.frames):
+            tokens = _patch_token_indices(vl.positions[t], spec.grid, spec.patch)
             base[t, tokens] += layout.phase_signatures[vl.labels[t]]
-        if spec.noise_sigma > 0:
-            base += spec.noise_sigma * noise_rng.standard_normal(base.shape).astype(np.float32)
+        if spec.noise > 0:
+            base += spec.noise * noise_rng.standard_normal(base.shape).astype(np.float32)
         layers = [np.ascontiguousarray(base @ m) for m in layout.layer_maps]
         videos.append(
             VideoFeatures(
@@ -230,17 +221,21 @@ def generate_synthetic_dataset(spec: SyntheticSpec) -> list[VideoFeatures]:
     return videos
 
 
-def select_layers(features: VideoFeatures, layer_ids: list[int]) -> VideoFeatures:
-    """Keep the listed layers, order preserved; indices must strictly increase."""
+def check_layer_select(layer_ids, num_layers: int) -> None:
+    """`layer_select` must name at least one layer, strictly increasing,
+    each in 0..num_layers-1."""
     if not layer_ids:
-        raise ValueError("layer selection is empty")
+        raise ValueError("layer_select must name at least one layer")
     if any(b <= a for a, b in zip(layer_ids, layer_ids[1:])):
-        raise ValueError(f"layer ids must be strictly increasing, got {layer_ids}")
+        raise ValueError(f"layer_select must be strictly increasing, got {tuple(layer_ids)}")
     for i in layer_ids:
-        if not 0 <= i < features.num_layers:
-            raise ValueError(
-                f"layer id {i} out of range for {features.num_layers} layers"
-            )
+        if not 0 <= i < num_layers:
+            raise ValueError(f"layer_select id {i} out of range for {num_layers} layers")
+
+
+def select_layers(features: VideoFeatures, layer_ids: list[int]) -> VideoFeatures:
+    """Keep the listed layers, order preserved; see `check_layer_select`."""
+    check_layer_select(layer_ids, features.num_layers)
     return VideoFeatures(
         video_id=features.video_id,
         layers=[features.layers[i] for i in layer_ids],

@@ -28,40 +28,44 @@ ARCHITECTURES = ("entity", "fixed_width")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    arch: str = "entity"
-    num_entities: int = 3         # split count for the fixed-width arch
-    num_layers: int = 3           # selected backbone layers entering pooling
-    channels: int = 32
-    query_dim: int = 64
-    value_dim: int = 64
-    model_dim: int = 128          # entity feature width; also the fusion width
-    blocks: int = 3
-    heads: int = 1
-    mlp_ratio: int = 4
-    pooling: str = "cls_style"
-    pos_scale: float = 1.0        # amplitude of the sinusoidal frame code
-    proj_hidden: int = 128
-    proj_dim: int = 128
+    """Fields are named as the run config's keys; `RunConfig` holds their
+    defaults."""
+
+    arch: str
+    entities: int                 # split count for the fixed-width arch
+    channels: int
+    query_dim: int
+    value_dim: int
+    model_dim: int                # entity feature width; also the fusion width
+    heads: int
+    blocks: int
+    mlp_ratio: int
+    pooling: str
+    pos_scale: float              # amplitude of the sinusoidal frame code
+    layer_select: tuple[int, ...]  # backbone layers entering pooling
+    proj_hidden: int
+    proj_dim: int
 
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
-        if self.num_entities < 1:
-            raise ValueError(f"need at least one entity, got {self.num_entities}")
-        if self.blocks < 1:
-            raise ValueError(f"need at least one block, got {self.blocks}")
-        if self.heads < 1 or self.model_dim % self.heads != 0:
+        for key in ("entities", "channels", "query_dim", "value_dim", "model_dim", "heads",
+                    "blocks", "mlp_ratio", "proj_hidden", "proj_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.model_dim % self.heads != 0:
             raise ValueError(
-                f"fusion width {self.model_dim} not divisible by {self.heads} heads"
-            )
+                f"model_dim {self.model_dim} is not divisible by heads {self.heads}")
         if self.pooling not in tf.POOLING_MODES:
             raise ValueError(
                 f"pooling must be one of {tf.POOLING_MODES}, got {self.pooling!r}")
+        if not np.isfinite(self.pos_scale):
+            raise ValueError(f"pos_scale must be finite, got {self.pos_scale}")
 
     @property
     def token_dim(self) -> int:
         """Width of a tagged input token: entity feature plus one-hot ID."""
-        return self.model_dim + self.num_entities
+        return self.model_dim + self.entities
 
 
 class Model:
@@ -71,11 +75,11 @@ class Model:
         self.config = config
         if config.arch == "entity":
             params = sp.init_pooling_params(
-                rng, config.num_layers, config.channels, config.num_entities,
+                rng, len(config.layer_select), config.channels, config.entities,
                 config.query_dim, config.value_dim, config.model_dim)
         else:
             params = tf.init_fixed_width_params(
-                rng, config.channels, config.num_entities, config.model_dim)
+                rng, config.channels, config.entities, config.model_dim)
         params.update(tf.init_fusion_params(rng, config))
         d, hidden = config.model_dim, config.proj_hidden
         for p in [
@@ -113,7 +117,7 @@ class Model:
             entities = sp.extract_entities_from_arrays(layers, self.params)
         else:
             entities = tf.split_frame_tokens(
-                layers[-1], self.params, self.config.num_entities, self.config.model_dim)
+                layers[-1], self.params, self.config.entities, self.config.model_dim)
         tokens = tf.build_frame_tokens(entities, self.config)
         fused = tf.fuse_tokens(tokens, self.config, self.params)
         return tf.pool_output(fused, entities.num_frames, entities.num_entities,

@@ -6,7 +6,7 @@ over independently seeded initializations).
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,8 +68,10 @@ def _keep_heap_resident() -> None:
 def train_model(config: RunConfig, videos: list[VideoFeatures],
                 split_of: dict[str, str], seed: int | None = None) -> TrainResult:
     _keep_heap_resident()
+    if seed is not None:
+        config = replace(config, seed=seed)
     train_videos = [v for v in videos if split_of[v.video_id] == "train"]
-    return train(train_videos, config.model_config(), config.train_config(seed))
+    return train(train_videos, config.model_config(), config.train_config())
 
 
 def evaluate_trained(config: RunConfig, model: Model, videos: list[VideoFeatures],
@@ -133,7 +135,17 @@ def run_trials(config: RunConfig, seeds: list[int],
     return outcomes
 
 
+class _ZeroInit:
+    """Stands in for the generator of a `Model` whose every value the
+    caller overwrites: `Model`'s init draws only `standard_normal`, so
+    zeros give the same names and shapes without the draws."""
+
+    @staticmethod
+    def standard_normal(shape) -> np.ndarray:
+        return np.zeros(shape)
+
+
 def model_from_checkpoint(config: RunConfig, checkpoint: bytes) -> Model:
-    model = Model(config.model_config(), np.random.default_rng(0))
+    model = Model(config.model_config(), _ZeroInit())
     model.load_state(load_checkpoint_bytes(checkpoint))
     return model

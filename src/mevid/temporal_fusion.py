@@ -99,9 +99,9 @@ def build_frame_tokens(entities: EntitySet, config: ModelConfig) -> Tensor:
     forcing extrapolation.
     """
     b, t, e = entities.features.shape[0], entities.num_frames, entities.num_entities
-    if e != config.num_entities:
+    if e != config.entities:
         raise ValueError(
-            f"entity set has E={e}, fusion config expects E={config.num_entities}"
+            f"entity set has E={e}, fusion config expects E={config.entities}"
         )
     dtype = entities.features.dtype
 

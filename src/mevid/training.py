@@ -26,26 +26,38 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    view_len: int = 8
-    scl_sigma: float = 3.0        # frames
-    scl_temperature: float = 0.1
-    lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    max_steps: int = 300          # optimizer steps
-    batch_size: int = 4
-    seed: int = 0
+    """Fields are named as the run config's keys; `RunConfig` holds their
+    defaults."""
+
+    view_len: int
+    scl_sigma: float              # frames
+    scl_temperature: float
+    lr: float
+    beta1: float
+    beta2: float
+    adam_eps: float
+    max_steps: int                # optimizer steps
+    batch: int
+    seed: int
 
     def __post_init__(self):
         if self.view_len < 2:
             raise ValueError(f"view_len must be >= 2, got {self.view_len}")
-        if self.scl_sigma <= 0 or self.scl_temperature <= 0:
-            raise ValueError("scl_sigma and scl_temperature must be positive")
-        if self.lr < 0:
-            raise ValueError(f"learning rate must be nonnegative, got {self.lr}")
-        if self.batch_size < 1 or self.max_steps < 0:
-            raise ValueError("batch_size must be >= 1 and max_steps >= 0")
+        # written so that NaN fails every range
+        for key in ("scl_sigma", "scl_temperature", "adam_eps"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +202,10 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
     trace: list[float] = []
     while len(trace) < config.max_steps:
         order = rng.permutation(len(dataset))
-        for start in range(0, len(order), config.batch_size):
+        for start in range(0, len(order), config.batch):
             if len(trace) == config.max_steps:
                 break
-            batch = [dataset[i] for i in order[start:start + config.batch_size]]
+            batch = [dataset[i] for i in order[start:start + config.batch]]
             seeds = [int(rng.integers(2 ** 63)) for _ in batch]
 
             with Tape() as tape:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to watch the lines appear;
 the end-to-end criteria train nine full models and take a few minutes.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -24,7 +25,7 @@ from mevid.features import (
     select_layers,
     synthetic_layout,
 )
-from mevid.model import Model, ModelConfig
+from mevid.model import Model
 from mevid.pipeline import dataset_from_config, model_from_checkpoint, run_trials, summarize
 from mevid.spatial_pooling import EntitySet, extract_entities_from_arrays, init_pooling_params
 from mevid.tensor import Tensor, grad_check
@@ -50,10 +51,10 @@ def e2e():
     reports = {
         "e3": run_trials(base, SEEDS, videos, split_of),
         "fwb": run_trials(
-            RunConfig(**{**base.__dict__, "arch": "fixed_width"}),
+            dataclasses.replace(base, arch="fixed_width"),
             SEEDS, videos, split_of),
         "e1": run_trials(
-            RunConfig(**{**base.__dict__, "entities": 1}), SEEDS, videos, split_of),
+            dataclasses.replace(base, entities=1), SEEDS, videos, split_of),
     }
     elapsed = time.monotonic() - start
     return {"config": base, "videos": videos, "split_of": split_of,
@@ -65,13 +66,12 @@ def e2e():
 
 
 def test_criterion_1_gradient_suite():
-    spec = SyntheticSpec(num_videos=1, frames_per_video=4, grid_side=2, channels=8,
-                         num_phases=2, num_layers=1, actor_patch_side=1,
-                         noise_sigma=0.1, seed=3)
+    spec = SyntheticSpec(videos=1, frames=4, grid=2, channels=8, phases=2, layers=1,
+                         patch=1, noise=0.1, data_seed=3)
     toy = generate_synthetic_dataset(spec)[0]  # S = 4, D = 8
-    config = ModelConfig(num_entities=2, num_layers=1, channels=8, query_dim=3,
-                         value_dim=3, model_dim=4, blocks=3, heads=2, mlp_ratio=2,
-                         proj_hidden=4, proj_dim=6)
+    config = RunConfig(entities=2, layer_select=(0,), channels=8, query_dim=3,
+                       value_dim=3, model_dim=4, blocks=3, heads=2, mlp_ratio=2,
+                       proj_hidden=4, proj_dim=6).model_config()
     model = Model(config, np.random.default_rng(1))
     idx1, idx2 = np.array([0, 2]), np.array([1, 3])  # two 2-frame views
     layers1 = [l[idx1][None] for l in toy.layers]
@@ -130,8 +130,8 @@ def test_criterion_2_attention_invariants():
 
 
 def test_criterion_3_permutation_invariants():
-    config = ModelConfig(num_entities=3, model_dim=16, blocks=3, heads=2,
-                         mlp_ratio=2)
+    config = RunConfig(entities=3, model_dim=16, blocks=3, heads=2,
+                       mlp_ratio=2).model_config()
     rng = np.random.default_rng(4)
     params = tf.init_fusion_params(rng, config)
     t, e = 5, 3
@@ -160,9 +160,9 @@ def test_criterion_3_permutation_invariants():
 def test_criterion_4_parameter_accounting():
     def fusion_count(arch, entities):
         return Model(
-            ModelConfig(arch=arch, num_entities=entities, num_layers=3, channels=32,
-                        query_dim=64, value_dim=64, model_dim=128, heads=1,
-                        mlp_ratio=4),
+            RunConfig(arch=arch, entities=entities, layer_select=(0, 1, 2), channels=32,
+                      query_dim=64, value_dim=64, model_dim=128, heads=1,
+                      mlp_ratio=4).model_config(),
             np.random.default_rng(0)).fusion_param_count()
 
     equal = fusion_count("entity", 3) == fusion_count("fixed_width", 3)
@@ -314,7 +314,7 @@ def test_criterion_7_end_to_end_trends(e2e):
 
 def best_actor_mass(model, config, split_of):
     spec = config.synthetic_spec()
-    clean_spec = SyntheticSpec(**{**spec.__dict__, "noise_sigma": 0.0})
+    clean_spec = dataclasses.replace(spec, noise=0.0)
     clean = generate_synthetic_dataset(clean_spec)
     layout = synthetic_layout(clean_spec)
     masses = []
@@ -328,7 +328,7 @@ def best_actor_mass(model, config, split_of):
             for e in range(att.shape[1]):
                 per_frame = [
                     att[frame, e, _patch_token_indices(
-                        vl.positions[frame], spec.grid_side, spec.actor_patch_side)].sum()
+                        vl.positions[frame], spec.grid, spec.patch)].sum()
                     for frame in range(att.shape[0])]
                 best = max(best, float(np.mean(per_frame)))
         masses.append(best)

@@ -59,3 +59,15 @@ def test_setup_path_counts_every_frame(monkeypatch, tmp_path):
     assert sorted(split_of) == [v.video_id for v in videos]
     assert sum(v.num_frames for v in videos) == 3 * 8
     assert all(v.num_layers == 1 for v in videos)
+
+
+def test_every_workload_override_is_a_config_key(monkeypatch):
+    """perfbench builds each workload's config as `RunConfig(**overrides)`."""
+    from dataclasses import fields
+
+    from mevid.config import RunConfig
+
+    keys = {f.name for f in fields(RunConfig)}
+    run = _load_run(monkeypatch)
+    assert run.WORKLOADS
+    assert [k for over in run.WORKLOADS.values() for k in over if k not in keys] == []

@@ -227,6 +227,16 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
         assert "at least one layer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "probe_lr = 0", "probe_lr = -1", "ridge_lambda = -1", "adam_eps = -1", "noise = nan",
+        "query_dim = 0", "model_dim = 0", "proj_dim = 0", "beta1 = 1.0", "lr = nan",
+        "scl_temperature = nan", "pos_scale = nan"])
+    def test_value_that_would_run_wrong_is_rejected_by_name(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
     def test_negative_seed_override_exit_one(self, tmp_path, small_config, capsys):
         data = tmp_path / "data"
         assert main(["gen", "--config", small_config, "--out", str(data)]) == 0

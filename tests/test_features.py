@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mevid.config import RunConfig
 from mevid.features import (
     FormatError,
     MagicError,
@@ -21,9 +23,8 @@ from mevid.features import (
     write_mvff,
 )
 
-SMALL = SyntheticSpec(num_videos=3, frames_per_video=16, grid_side=4, channels=8,
-                      num_phases=3, num_layers=2, actor_patch_side=2,
-                      noise_sigma=0.1, seed=7)
+SMALL = SyntheticSpec(videos=3, frames=16, grid=4, channels=8, phases=3, layers=2,
+                      patch=2, noise=0.1, data_seed=7)
 
 
 def _labels_runs(labels):
@@ -49,18 +50,17 @@ class TestSyntheticGeneration:
     def test_labels_are_contiguous_runs(self):
         for video in generate_synthetic_dataset(SMALL):
             runs = _labels_runs(video.labels)
-            assert [r[0] for r in runs] == list(range(SMALL.num_phases))
+            assert [r[0] for r in runs] == list(range(SMALL.phases))
             assert all(r[1] >= 2 for r in runs)
-            assert sum(r[1] for r in runs) == SMALL.frames_per_video
+            assert sum(r[1] for r in runs) == SMALL.frames
 
     def test_noiseless_actor_tokens_carry_signature(self):
-        spec = SyntheticSpec(**{**SMALL.__dict__, "noise_sigma": 0.0})
+        spec = dataclasses.replace(SMALL, noise=0.0)
         layout = synthetic_layout(spec)
         videos = generate_synthetic_dataset(spec)
         for video, vl in zip(videos, layout.videos):
-            for t in (0, 7, spec.frames_per_video - 1):
-                tokens = _patch_token_indices(vl.positions[t], spec.grid_side,
-                                              spec.actor_patch_side)
+            for t in (0, 7, spec.frames - 1):
+                tokens = _patch_token_indices(vl.positions[t], spec.grid, spec.patch)
                 diff = video.layers[0][t, tokens] - vl.background
                 sig = layout.phase_signatures[video.labels[t]]
                 assert np.abs(diff - sig).max() < 1e-6
@@ -70,9 +70,8 @@ class TestSyntheticGeneration:
 
     def test_noiseless_equal_label_and_position_equal_grids(self):
         # grid == patch pins the actor to (0, 0), so any same-phase frames match
-        spec = SyntheticSpec(num_videos=1, frames_per_video=12, grid_side=2,
-                             channels=6, num_phases=2, num_layers=2,
-                             actor_patch_side=2, noise_sigma=0.0, seed=3)
+        spec = SyntheticSpec(videos=1, frames=12, grid=2, channels=6, phases=2, layers=2,
+                             patch=2, noise=0.0, data_seed=3)
         video = generate_synthetic_dataset(spec)[0]
         same = np.nonzero(video.labels == video.labels[0])[0]
         assert len(same) >= 2
@@ -99,18 +98,18 @@ class TestSyntheticGeneration:
 
     def test_impossible_phase_partition_rejected(self):
         with pytest.raises(SpecError, match="phases"):
-            SyntheticSpec(num_videos=1, frames_per_video=5, grid_side=4, channels=4,
-                          num_phases=3, actor_patch_side=2)
+            RunConfig(videos=1, frames=5, grid=4, channels=4, phases=3,
+                      patch=2).synthetic_spec()
 
     def test_patch_larger_than_grid_rejected(self):
         with pytest.raises(SpecError):
-            SyntheticSpec(num_videos=1, frames_per_video=8, grid_side=2, channels=4,
-                          num_phases=2, actor_patch_side=3)
+            RunConfig(videos=1, frames=8, grid=2, channels=4, phases=2,
+                      patch=3).synthetic_spec()
 
     def test_single_phase_rejected(self):
         with pytest.raises(SpecError):
-            SyntheticSpec(num_videos=1, frames_per_video=8, grid_side=2, channels=4,
-                          num_phases=1, actor_patch_side=1)
+            RunConfig(videos=1, frames=8, grid=2, channels=4, phases=1,
+                      patch=1).synthetic_spec()
 
 
 class TestMvffFormat:
@@ -255,14 +254,14 @@ class TestSelectLayers:
             assert np.array_equal(la, lb)
 
     def test_select_last(self):
-        spec = SyntheticSpec(**{**SMALL.__dict__, "num_layers": 3})
+        spec = dataclasses.replace(SMALL, layers=3)
         video = generate_synthetic_dataset(spec)[0]
         out = select_layers(video, [2])
         assert out.num_layers == 1
         assert np.array_equal(out.layers[0], video.layers[2])
 
     def test_out_of_range_rejected(self):
-        spec = SyntheticSpec(**{**SMALL.__dict__, "num_layers": 3})
+        spec = dataclasses.replace(SMALL, layers=3)
         video = generate_synthetic_dataset(spec)[0]
         with pytest.raises(ValueError, match="out of range"):
             select_layers(video, [1, 3])

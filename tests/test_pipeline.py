@@ -4,10 +4,12 @@ import resource
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mevid import pipeline
 from mevid.config import RunConfig
+from mevid.model import Model, save_checkpoint_bytes
 
 GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 
@@ -39,3 +41,15 @@ def _no_libc(name):
 def test_heap_helper_is_a_no_op_without_mallopt(cdll, monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     pipeline._keep_heap_resident()
+
+
+@pytest.mark.parametrize("arch", ["entity", "fixed_width"])
+def test_checkpoint_load_restores_every_value(arch):
+    # the load builds its table without random draws; load_state fills it
+    config = RunConfig(arch=arch, layer_select=(0, 2))
+    saved = Model(config.model_config(), np.random.default_rng(5))
+    loaded = pipeline.model_from_checkpoint(config, save_checkpoint_bytes(saved))
+    assert list(loaded.params) == list(saved.params)
+    for name, p in loaded.params.items():
+        assert p.data.dtype == np.float32 and p.data.tobytes() == saved.params[name].data.tobytes()
+        assert not p.grad.any()

@@ -6,16 +6,12 @@ import pytest
 
 from mevid import temporal_fusion as tf
 from mevid import tensor as T
-from mevid.model import (
-    Model,
-    ModelConfig,
-    load_checkpoint_bytes,
-    save_checkpoint_bytes,
-)
+from mevid.config import RunConfig
+from mevid.model import Model, load_checkpoint_bytes, save_checkpoint_bytes
 from mevid.spatial_pooling import EntitySet
 from mevid.tensor import Tensor, grad_check
 
-CFG = ModelConfig(num_entities=3, model_dim=8, blocks=3, heads=2, mlp_ratio=2)
+CFG = RunConfig(entities=3, model_dim=8, blocks=3, heads=2, mlp_ratio=2).model_config()
 
 
 def entity_set(rng, t=4, e=3, d=8):
@@ -102,8 +98,8 @@ class TestFusion:
         assert np.abs(pool(tokens) - pool(tokens[perm])).max() < 1e-6
 
     def test_gradients_through_build_fuse_pool(self):
-        small = ModelConfig(num_entities=2, model_dim=4, blocks=2, heads=2,
-                            mlp_ratio=2)
+        small = RunConfig(entities=2, model_dim=4, blocks=2, heads=2,
+                          mlp_ratio=2).model_config()
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((1, 4 * 2, 4)).astype(np.float32)
         params = tf.init_fusion_params(rng, small)
@@ -171,20 +167,22 @@ class TestFixedWidthBaseline:
             assert np.abs(grouped[:, n] - frame_mean).max() < 1e-6
 
     def test_fusion_param_count_matches_entity_arch(self):
-        mtf = Model(ModelConfig(arch="entity", num_entities=3, num_layers=1,
-                                channels=8, query_dim=4, value_dim=4, model_dim=8,
-                                heads=2, mlp_ratio=2), np.random.default_rng(0))
-        fwb = Model(ModelConfig(arch="fixed_width", num_entities=3, num_layers=1,
-                                channels=8, query_dim=4, value_dim=4, model_dim=8,
-                                heads=2, mlp_ratio=2), np.random.default_rng(1))
+        mtf = Model(RunConfig(arch="entity", entities=3, layer_select=(0,),
+                              channels=8, query_dim=4, value_dim=4, model_dim=8,
+                              heads=2, mlp_ratio=2).model_config(),
+                    np.random.default_rng(0))
+        fwb = Model(RunConfig(arch="fixed_width", entities=3, layer_select=(0,),
+                              channels=8, query_dim=4, value_dim=4, model_dim=8,
+                              heads=2, mlp_ratio=2).model_config(),
+                    np.random.default_rng(1))
         assert mtf.fusion_param_count() == fwb.fusion_param_count()
 
     def test_param_count_depends_on_entities_only_via_input_rows(self):
         counts = {}
         for e in (1, 3, 5):
-            model = Model(ModelConfig(arch="entity", num_entities=e, num_layers=1,
-                                      channels=8, query_dim=4, value_dim=4,
-                                      model_dim=8, heads=2, mlp_ratio=2),
+            model = Model(RunConfig(arch="entity", entities=e, layer_select=(0,),
+                                    channels=8, query_dim=4, value_dim=4,
+                                    model_dim=8, heads=2, mlp_ratio=2).model_config(),
                           np.random.default_rng(0))
             counts[e] = model.fusion_param_count()
         d = 8
@@ -194,9 +192,9 @@ class TestFixedWidthBaseline:
 
 class TestDeterminismAndCheckpoint:
     def _model(self, seed=3):
-        return Model(ModelConfig(num_entities=2, num_layers=2, channels=8,
-                                 query_dim=4, value_dim=4, model_dim=8, heads=2,
-                                 mlp_ratio=2, proj_hidden=8, proj_dim=8),
+        return Model(RunConfig(entities=2, layer_select=(0, 1), channels=8,
+                               query_dim=4, value_dim=4, model_dim=8, heads=2,
+                               mlp_ratio=2, proj_hidden=8, proj_dim=8).model_config(),
                      np.random.default_rng(seed))
 
     def test_same_seed_bit_identical_params_and_outputs(self):
@@ -253,7 +251,8 @@ class TestDeterminismAndCheckpoint:
                             "aa812416d8cc23c60bbee974531f25d30321b1091972a80e3586737d5365e35f"),
         }
         for arch, (records, values, digest) in golden.items():
-            raw = save_checkpoint_bytes(Model(ModelConfig(arch=arch), np.random.default_rng(0)))
+            model = Model(RunConfig(arch=arch).model_config(), np.random.default_rng(0))
+            raw = save_checkpoint_bytes(model)
             arrays = load_checkpoint_bytes(raw)
             assert len(arrays) == records, arch
             assert sum(a.size for a in arrays.values()) == values, arch
@@ -261,9 +260,9 @@ class TestDeterminismAndCheckpoint:
 
     def test_load_state_mismatch_names_the_problem(self):
         model = self._model()
-        other = Model(ModelConfig(num_entities=3, num_layers=2, channels=8,
-                                  query_dim=4, value_dim=4, model_dim=8, heads=2,
-                                  mlp_ratio=2, proj_hidden=8, proj_dim=8),
+        other = Model(RunConfig(entities=3, layer_select=(0, 1), channels=8,
+                                query_dim=4, value_dim=4, model_dim=8, heads=2,
+                                mlp_ratio=2, proj_hidden=8, proj_dim=8).model_config(),
                       np.random.default_rng(0))
         arrays = load_checkpoint_bytes(save_checkpoint_bytes(other))
         with pytest.raises(ValueError, match="mismatch"):
@@ -271,4 +270,4 @@ class TestDeterminismAndCheckpoint:
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(num_entities=3, model_dim=9, heads=2)
+            RunConfig(entities=3, model_dim=9, heads=2).model_config()

@@ -6,17 +6,16 @@ import pytest
 from mevid import tensor as T
 from mevid import training as tr
 from mevid.features import SyntheticSpec, generate_synthetic_dataset
-from mevid.model import Model, ModelConfig, save_checkpoint_bytes
+from mevid.model import Model, save_checkpoint_bytes
 from mevid.config import RunConfig, parse_config_text
 from mevid.pipeline import SeedOutcome, dataset_from_config, run_single, summarize
 from mevid.tensor import Parameter, Tape, Tensor
 
-SPEC = SyntheticSpec(num_videos=4, frames_per_video=16, grid_side=4, channels=8,
-                     num_phases=3, num_layers=2, actor_patch_side=2,
-                     noise_sigma=0.1, seed=5)
-MODEL = ModelConfig(num_entities=2, num_layers=2, channels=8, query_dim=4,
-                    value_dim=4, model_dim=8, heads=2, mlp_ratio=2,
-                    proj_hidden=8, proj_dim=8)
+SPEC = SyntheticSpec(videos=4, frames=16, grid=4, channels=8, phases=3, layers=2,
+                     patch=2, noise=0.1, data_seed=5)
+MODEL = RunConfig(entities=2, layer_select=(0, 1), channels=8, query_dim=4,
+                  value_dim=4, model_dim=8, heads=2, mlp_ratio=2,
+                  proj_hidden=8, proj_dim=8).model_config()
 
 
 def loss_of_one_video(z1, t1, z2, t2, sigma, tau):
@@ -27,9 +26,9 @@ def loss_of_one_video(z1, t1, z2, t2, sigma, tau):
 
 
 def small_train_config(**over):
-    base = dict(view_len=4, max_steps=4, batch_size=2, seed=9)
+    base = dict(view_len=4, max_steps=4, batch=2, seed=9)
     base.update(over)
-    return tr.TrainConfig(**base)
+    return RunConfig(**base).train_config()
 
 
 class TestViewSampling:
@@ -54,9 +53,8 @@ class TestViewSampling:
 
     def test_uniform_coverage(self):
         # every frame appears in a view with frequency ~ view_len / T
-        spec = SyntheticSpec(num_videos=1, frames_per_video=32, grid_side=2,
-                             channels=4, num_phases=2, num_layers=1,
-                             actor_patch_side=1, noise_sigma=0.0, seed=1)
+        spec = SyntheticSpec(videos=1, frames=32, grid=2, channels=4, phases=2, layers=1,
+                             patch=1, noise=0.0, data_seed=1)
         video = generate_synthetic_dataset(spec)[0]
         hits = np.zeros(32)
         draws = 1000
