@@ -84,11 +84,14 @@ def _load_entry(data_dir: str, entry: dict, config: RunConfig):
     return select_layers(video, list(config.layer_select))
 
 
-def _load_data_dir(data_dir: str, config: RunConfig):
-    """Every manifest video with the configured layer selection, and the split."""
-    entries = _read_manifest(data_dir)
+def _load_entries(data_dir: str, entries: list[dict], config: RunConfig):
+    """The listed videos with the configured layer selection, and the split."""
     videos = [_load_entry(data_dir, entry, config) for entry in entries]
     return videos, {entry["id"]: entry["split"] for entry in entries}
+
+
+def _split_counts(entries: list[dict]) -> dict[str, int]:
+    return {s: sum(1 for e in entries if e["split"] == s) for s in ("train", "test")}
 
 
 def _cmd_gen(args, config: RunConfig) -> int:
@@ -108,7 +111,7 @@ def _cmd_gen(args, config: RunConfig) -> int:
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"videos": entries}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    counts = {s: sum(1 for e in entries if e["split"] == s) for s in ("train", "test")}
+    counts = _split_counts(entries)
     sys.stderr.write(f"wrote {len(entries)} videos ({counts['train']} train / "
                      f"{counts['test']} test) to {args.out}\n")
     return 0
@@ -118,7 +121,14 @@ def _cmd_train(args, config: RunConfig) -> int:
     if args.seed is not None:
         config = _validate(dataclasses.replace(config, seed=args.seed))
     _echo_config(config)
-    videos, split_of = _load_data_dir(args.data, config)
+    videos, split_of = _load_entries(args.data, _read_manifest(args.data), config)
+    train_videos = [v for v in videos if split_of[v.video_id] == "train"]
+    if not train_videos:
+        raise UsageError(f"{args.data} lists no train video")
+    shortest = min(train_videos, key=lambda v: v.num_frames)
+    if shortest.num_frames < config.view_len:
+        raise UsageError(f"view_len {config.view_len} exceeds the {shortest.num_frames} "
+                         f"frames of train video {shortest.video_id!r}")
     result = pipeline.train_model(config, videos, split_of)
     save_checkpoint(result.model, args.out)
     trace_path = args.out + ".loss.tsv"
@@ -130,7 +140,13 @@ def _cmd_train(args, config: RunConfig) -> int:
 
 def _cmd_eval(args, config: RunConfig) -> int:
     _echo_config(config)
-    videos, split_of = _load_data_dir(args.data, config)
+    entries = _read_manifest(args.data)
+    counts = _split_counts(entries)
+    # the probes fit on train videos; tau and retrieval compare test pairs
+    if counts["train"] < 1 or counts["test"] < 2:
+        raise UsageError(f"eval needs at least 1 train and 2 test videos, {args.data} "
+                         f"lists {counts['train']} train / {counts['test']} test")
+    videos, split_of = _load_entries(args.data, entries, config)
     with open(args.checkpoint, "rb") as fh:
         model = pipeline.model_from_checkpoint(config, fh.read())
     metrics = pipeline.evaluate_trained(config, model, videos, split_of)

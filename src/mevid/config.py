@@ -110,6 +110,12 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if not 0.0 < config.train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {config.train_fraction}")
+    # the floor rule of `pipeline.split_video_ids`
+    if math.floor(config.train_fraction * config.videos) < 1:
+        raise ConfigError(f"videos {config.videos} with train_fraction "
+                          f"{config.train_fraction} leaves the train split empty")
+    if config.view_len > config.frames:
+        raise ConfigError(f"view_len {config.view_len} exceeds frames {config.frames}")
     if config.probe_epochs < 1:
         raise ConfigError(f"probe_epochs must be >= 1, got {config.probe_epochs}")
     # written so that NaN fails both ranges

@@ -71,3 +71,35 @@ def test_every_workload_override_is_a_config_key(monkeypatch):
     run = _load_run(monkeypatch)
     assert run.WORKLOADS
     assert [k for over in run.WORKLOADS.values() for k in over if k not in keys] == []
+
+
+def test_tracer_survives_threaded_embedding(monkeypatch):
+    """The tracer's span stack is shared by every thread; a traced eval pass
+    that embeds on two threads must still balance it, record every op, and
+    score what the one-thread pass scores."""
+    import numpy as np
+
+    from mevid import evaluate, pipeline
+    from mevid.config import RunConfig
+    from mevid.model import Model
+
+    run = _load_run(monkeypatch)
+    config = RunConfig(videos=6, frames=10, grid=3, channels=8, phases=2, layers=2,
+                       patch=1, layer_select=(0, 1), entities=2, query_dim=8, value_dim=8,
+                       model_dim=16, heads=2, mlp_ratio=2, blocks=2, probe_epochs=20)
+    videos, split_of = pipeline.dataset_from_config(config)
+    model = Model(config.model_config(), np.random.default_rng(1))
+
+    def traced_pass(cpus):
+        monkeypatch.setattr(evaluate, "_available_cpus", lambda: cpus)
+        tracer = run.Tracer()
+        with tracer.installed(run.TRACE_TARGETS):
+            metrics = pipeline.evaluate_trained(config, model, videos, split_of)
+        ops = sum(1 for span in tracer.spans if span[0].startswith(run.OP_PREFIX))
+        return metrics, ops, tracer
+
+    one_metrics, one_ops, _ = traced_pass(1)
+    two_metrics, two_ops, tracer = traced_pass(2)
+    assert tracer._stack == [-1]
+    assert two_ops == one_ops > 0
+    assert two_metrics == one_metrics

@@ -183,6 +183,56 @@ class TestPipelineCommands:
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
 
+    def test_eval_needs_train_and_two_test_videos_before_reading_files(
+            self, tmp_path, capsys, small_config):
+        # neither the listed MVFF files nor the checkpoint exist
+        data = tmp_path / "data"
+        data.mkdir()
+        for splits in (["train", "train", "test"], ["test", "test", "test"]):
+            (data / "manifest.json").write_text(json.dumps({"videos": [
+                {"id": f"v{i}", "file": f"v{i}.mvff", "split": s}
+                for i, s in enumerate(splits)]}))
+            code = main(["eval", str(tmp_path / "none.mvck"), "--config", small_config,
+                         "--data", str(data)])
+            assert code == 1
+            err = capsys.readouterr().err
+            counts = f"{splits.count('train')} train / {splits.count('test')} test"
+            assert counts in err and "No such file" not in err
+
+    def test_train_rejects_a_video_shorter_than_view_len_before_step_0(
+            self, tmp_path, capsys, small_config, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = next(e for e in manifest["videos"] if e["split"] == "train")
+        video = load_mvff(data / entry["file"], video_id=entry["id"])
+        write_mvff(VideoFeatures(video_id=video.video_id,
+                                 layers=[l[:3] for l in video.layers],
+                                 labels=video.labels[:3],
+                                 progression=video.progression[:3]),
+                   data / entry["file"])
+        monkeypatch.setattr("mevid.pipeline.train_model", None)
+        capsys.readouterr()
+        ckpt = tmp_path / "m.mvck"
+        assert main(["train", "--config", small_config, "--data", str(data),
+                     "--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "view_len 4" in err and f"3 frames of train video {entry['id']!r}" in err
+        assert not ckpt.exists()
+
+    def test_train_rejects_a_manifest_without_train_videos(self, tmp_path, capsys,
+                                                           small_config):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        for entry in manifest["videos"]:
+            entry["split"] = "test"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["train", "--config", small_config, "--data", str(data),
+                     "--out", str(tmp_path / "m.mvck")]) == 1
+        assert "no train video" in capsys.readouterr().err
+
     def test_attn_unknown_video(self, trained, capsys, small_config):
         data, ckpt = trained
         code = main(["attn", str(ckpt), "nope", "--config", small_config,
@@ -256,6 +306,14 @@ class TestErrors:
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_empty_train_split_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("videos = 1\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "videos 1" in err and "train_fraction" in err
+        assert not (tmp_path / "d").exists()
 
     def test_duplicate_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "dup.cfg"

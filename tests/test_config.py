@@ -28,3 +28,19 @@ def test_section_fields_are_run_config_keys_without_defaults(section):
     for f in fields(section):
         assert keys.get(f.name) == f.type, f.name
         assert f.default is MISSING and f.default_factory is MISSING, f.name
+
+
+def test_empty_train_split_rejected_by_name():
+    # the split floors train_fraction * videos
+    with pytest.raises(ConfigError, match="videos 1 with train_fraction 0.8"):
+        parse_config_text("videos = 1\n")
+    with pytest.raises(ConfigError, match="train_fraction 0.3"):
+        parse_config_text("videos = 3\ntrain_fraction = 0.3\n")
+    assert parse_config_text("videos = 3\n").videos == 3
+    assert parse_config_text("videos = 2\ntrain_fraction = 0.5\n").videos == 2
+
+
+def test_view_len_above_frames_rejected():
+    with pytest.raises(ConfigError, match="view_len 40 exceeds frames 32"):
+        parse_config_text("view_len = 40\n")
+    assert parse_config_text("view_len = 32\n").view_len == 32

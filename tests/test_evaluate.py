@@ -1,9 +1,16 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from mevid import evaluate as ev
+from mevid.config import RunConfig
+from mevid.features import VideoFeatures
+from mevid.model import Model
+from mevid.pipeline import dataset_from_config
+from mevid.tensor import GraphError, Tape
 
 
 def make_video(vid, embeddings, labels, progression=None, split="test"):
@@ -404,3 +411,131 @@ class TestRetrieval:
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k"):
             ev.retrieval_ap_at_k([], [], k=0)
+
+
+# ---------------------------------------------------------------------------
+# embedding a dataset on several threads
+
+
+def reference_embed_dataset(model, videos, split_of):
+    """One video at a time, on the calling thread."""
+    return ev.EmbeddedDataset([
+        ev.EmbeddedVideo(
+            video_id=video.video_id,
+            embeddings=model.embed_frames([l[None] for l in video.layers]).data[0].copy(),
+            labels=np.asarray(video.labels),
+            progression=np.asarray(video.progression),
+            split=split_of[video.video_id])
+        for video in videos])
+
+
+def embedding_case(arch, pooling, count):
+    """`count` videos of unequal lengths and a small model."""
+    config = RunConfig(videos=max(count, 2), frames=12, grid=3, channels=8, phases=2,
+                       layers=2, patch=1, layer_select=(0, 1), arch=arch, pooling=pooling,
+                       entities=2, query_dim=8, value_dim=8, model_dim=16, heads=2,
+                       mlp_ratio=2, blocks=2)
+    raw, split_of = dataset_from_config(config)
+    videos = []
+    for i, v in enumerate(raw[:count]):
+        t = 12 - 3 * (i % 3)
+        videos.append(VideoFeatures(v.video_id, [l[:t] for l in v.layers],
+                                    v.labels[:t], v.progression[:t]))
+    return Model(config.model_config(), np.random.default_rng(3)), videos, split_of
+
+
+def assert_same_embedding(got, want):
+    assert [v.video_id for v in got.videos] == [v.video_id for v in want.videos]
+    for g, w in zip(got.videos, want.videos):
+        assert g.embeddings.dtype == w.embeddings.dtype
+        assert g.embeddings.tobytes() == w.embeddings.tobytes()
+        assert np.array_equal(g.labels, w.labels)
+        assert g.progression.tobytes() == w.progression.tobytes()
+        assert g.split == w.split
+
+
+@pytest.mark.parametrize("arch,pooling", [("entity", "cls_style"), ("entity", "average"),
+                                          ("fixed_width", "cls_style"),
+                                          ("fixed_width", "average")])
+@pytest.mark.parametrize("count,cpus", [(5, 2), (1, 2), (3, 8)],
+                         ids=["two_workers", "one_video", "more_cpus_than_videos"])
+def test_threaded_embedding_matches_one_video_at_a_time(arch, pooling, count, cpus,
+                                                        monkeypatch):
+    # the patched CPU count runs the threaded path on a one-CPU machine too
+    model, videos, split_of = embedding_case(arch, pooling, count)
+    assert len({v.num_frames for v in videos}) == min(count, 3)
+    want = reference_embed_dataset(model, videos, split_of)
+    monkeypatch.setattr(ev, "_available_cpus", lambda: cpus)
+    assert_same_embedding(ev.embed_dataset(model, videos, split_of), want)
+
+
+def test_threaded_embedding_under_fast_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond
+    model, videos, split_of = embedding_case("entity", "cls_style", 9)
+    want = reference_embed_dataset(model, videos, split_of)
+    monkeypatch.setattr(ev, "_available_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = ev.embed_dataset(model, videos, split_of)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_embedding(got, want)
+
+
+def test_worker_count_is_capped_by_cpus_and_videos(monkeypatch):
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ev, "ThreadPoolExecutor", CountingPool)
+    model, videos, split_of = embedding_case("entity", "cls_style", 3)
+    for cpus, expected in [(1, []), (2, [2]), (8, [3])]:
+        started.clear()
+        monkeypatch.setattr(ev, "_available_cpus", lambda: cpus)
+        ev.embed_dataset(model, videos, split_of)
+        assert started == expected, cpus
+    # a single video never starts a thread
+    started.clear()
+    ev.embed_dataset(model, videos[:1], split_of)
+    assert started == []
+
+
+def test_embedding_under_an_active_tape_is_rejected(monkeypatch):
+    model, videos, split_of = embedding_case("entity", "cls_style", 2)
+    monkeypatch.setattr(ev, "_available_cpus", lambda: 2)
+    with Tape() as tape:
+        with pytest.raises(GraphError, match="Tape"):
+            ev.embed_dataset(model, videos, split_of)
+    assert len(tape) == 0
+    # once the tape has exited, the same call runs
+    assert len(ev.embed_dataset(model, videos, split_of).videos) == 2
+
+
+def test_embedding_threads_call_a_one_thread_openblas_and_restore_it(monkeypatch):
+    controls = ev._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for get, _ in controls]
+    model, videos, split_of = embedding_case("entity", "cls_style", 2)
+    seen = []
+    forward = model.embed_frames
+
+    def spy(layers):
+        seen.append([get() for get, _ in controls])
+        return forward(layers)
+
+    monkeypatch.setattr(model, "embed_frames", spy)
+    monkeypatch.setattr(ev, "_available_cpus", lambda: 2)
+    try:
+        for _, set_ in controls:
+            set_(2)
+        ev.embed_dataset(model, videos, split_of)
+        assert seen == [[1] * len(controls)] * 2
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
