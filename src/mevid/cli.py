@@ -21,7 +21,7 @@ from . import pipeline
 from .config import ConfigError, RunConfig, _validate, load_config, render_config
 from .features import generate_synthetic_dataset, load_mvff, select_layers, write_mvff
 from .model import save_checkpoint
-from .spatial_pooling import attention_map, export_attention
+from .spatial_pooling import export_attention
 from .training import format_loss_trace
 
 
@@ -147,6 +147,14 @@ def _cmd_eval(args, config: RunConfig) -> int:
         raise UsageError(f"eval needs at least 1 train and 2 test videos, {args.data} "
                          f"lists {counts['train']} train / {counts['test']} test")
     videos, split_of = _load_entries(args.data, entries, config)
+    for video in videos:
+        if video.labels is None:
+            raise UsageError(f"eval needs phase labels, and video {video.video_id!r} "
+                             f"is stored without them")
+        # tau ranks frame matches within each test video
+        if split_of[video.video_id] == "test" and video.num_frames < 2:
+            raise UsageError(f"eval needs at least 2 frames per test video, and "
+                             f"{video.video_id!r} has {video.num_frames}")
     with open(args.checkpoint, "rb") as fh:
         model = pipeline.model_from_checkpoint(config, fh.read())
     metrics = pipeline.evaluate_trained(config, model, videos, split_of)
@@ -169,15 +177,14 @@ def _cmd_attn(args, config: RunConfig) -> int:
                          f"not a square grid")
     with open(args.checkpoint, "rb") as fh:
         model = pipeline.model_from_checkpoint(config, fh.read())
-    entities = model.extract(video)
+    maps = model.extract(video)
     os.makedirs(args.out, exist_ok=True)
     count = 0
-    for layer in range(len(entities.attention)):
-        for frame in range(entities.num_frames):
-            for entity in range(entities.num_entities):
-                amap = attention_map(entities, frame, entity, layer, side)
+    for layer, attn in enumerate(maps):
+        for frame, rows in enumerate(attn):
+            for entity, row in enumerate(rows):
                 name = f"{video.video_id}_f{frame}_e{entity}_l{layer}.pgm"
-                export_attention(amap, os.path.join(args.out, name))
+                export_attention(row.reshape(side, side), os.path.join(args.out, name))
                 count += 1
     sys.stderr.write(f"wrote {count} attention maps to {args.out}\n")
     return 0

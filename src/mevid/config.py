@@ -126,13 +126,6 @@ def _validate(config: RunConfig) -> RunConfig:
     return config
 
 
-def config_from_dict(values: dict[str, object]) -> RunConfig:
-    unknown = sorted(set(values).difference(_PARSER_OF))
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    return _validate(RunConfig(**values))
-
-
 def parse_config_text(text: str) -> RunConfig:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -148,7 +141,7 @@ def parse_config_text(text: str) -> RunConfig:
         if key in values:
             raise ConfigError(f"duplicate config key: {key}")
         values[key] = _convert(key, value)
-    return config_from_dict(values)
+    return _validate(RunConfig(**values))
 
 
 def load_config(path) -> RunConfig:

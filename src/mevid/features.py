@@ -9,6 +9,8 @@ MVFF binary format defined at the bottom of this module.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -244,6 +246,26 @@ def select_layers(features: VideoFeatures, layer_ids: list[int]) -> VideoFeature
     )
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """A binary file that replaces `path` when the `with` block ends.
+
+    It is written beside `path` under a temporary name, so `path` holds
+    either its old bytes or all of the new ones. If the block raises, the
+    temporary file is removed and `path` is left as it was.
+    """
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # MVFF binary format, version 1 (little-endian):
 #   magic "MVFF", version u32, T u32, L u32, S u32, D u32,
@@ -264,7 +286,7 @@ def write_mvff(features: VideoFeatures, path) -> None:
         raise ValueError("MVFF v1 stores labels and progression together or not at all")
 
     grid = np.stack(features.layers, axis=1)  # [T, L, S, D]
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, t, l, s, d))
         fh.write(np.ascontiguousarray(grid, dtype="<f4").tobytes())
         fh.write(struct.pack("<B", 1 if has_labels else 0))
@@ -325,8 +347,6 @@ def load_mvff(path, video_id: str | None = None) -> VideoFeatures:
         _check_finite(progression, "progression", "frame")
 
     if video_id is None:
-        import os
-
         video_id = os.path.splitext(os.path.basename(str(path)))[0]
     return VideoFeatures(
         video_id=video_id,

@@ -20,7 +20,7 @@ import numpy as np
 from . import spatial_pooling as sp
 from . import temporal_fusion as tf
 from . import tensor as T
-from .features import VideoFeatures
+from .features import VideoFeatures, atomic_open
 from .tensor import Parameter, Tensor
 
 ARCHITECTURES = ("entity", "fixed_width")
@@ -74,12 +74,9 @@ class Model:
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         if config.arch == "entity":
-            params = sp.init_pooling_params(
-                rng, len(config.layer_select), config.channels, config.entities,
-                config.query_dim, config.value_dim, config.model_dim)
+            params = sp.init_pooling_params(rng, config)
         else:
-            params = tf.init_fixed_width_params(
-                rng, config.channels, config.entities, config.model_dim)
+            params = tf.init_fixed_width_params(rng, config)
         params.update(tf.init_fusion_params(rng, config))
         d, hidden = config.model_dim, config.proj_hidden
         for p in [
@@ -102,26 +99,24 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def extract(self, features: VideoFeatures) -> sp.EntitySet:
-        """Entity set of one whole video, as a batch of one sequence."""
+    def extract(self, features: VideoFeatures) -> list[np.ndarray]:
+        """Pooling attention of one whole video: one [T, E, S] array per layer."""
         if self.config.arch != "entity":
             raise ValueError("attention extraction requires the entity architecture")
         return sp.extract_entities_from_arrays([l[None] for l in features.layers],
-                                               self.params)
+                                               self.params)[1]
 
     def embed_frames(self, layers: list[np.ndarray]) -> Tensor:
         """Pooled [B, T, d] per-frame embeddings of B sequences, given raw
         per-layer [B, T, S, D] arrays. Training runs every view of a step
         as one batch; evaluation runs one video."""
         if self.config.arch == "entity":
-            entities = sp.extract_entities_from_arrays(layers, self.params)
+            tokens, _ = sp.extract_entities_from_arrays(layers, self.params)
         else:
-            entities = tf.split_frame_tokens(
-                layers[-1], self.params, self.config.entities, self.config.model_dim)
-        tokens = tf.build_frame_tokens(entities, self.config)
-        fused = tf.fuse_tokens(tokens, self.config, self.params)
-        return tf.pool_output(fused, entities.num_frames, entities.num_entities,
-                              self.config.pooling)
+            tokens = tf.split_frame_tokens(layers[-1], self.params, self.config.model_dim)
+        fused = tf.fuse_tokens(tf.build_frame_tokens(tokens, self.config), self.config,
+                               self.params)
+        return tf.pool_output(fused, self.config.entities, self.config.pooling)
 
     def project(self, pooled: Tensor) -> Tensor:
         """Contrastive-loss head over [B, T, d]; evaluation uses the pooled
@@ -178,7 +173,7 @@ def save_checkpoint_bytes(model: Model) -> bytes:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(save_checkpoint_bytes(model))
 
 

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .spatial_pooling import EntitySet
 from .tensor import Parameter, Tensor
 
 if TYPE_CHECKING:
@@ -85,8 +84,9 @@ def sinusoidal_encoding(timestamps: np.ndarray, dim: int, dtype=np.float32) -> n
     return enc.astype(dtype)
 
 
-def build_frame_tokens(entities: EntitySet, config: ModelConfig) -> Tensor:
-    """Tag entity features with one-hot IDs and add the frame position code.
+def build_frame_tokens(tokens: Tensor, config: ModelConfig) -> Tensor:
+    """Tag [B, T*E, d_model] frame-major entity tokens, E = `config.entities`,
+    with one-hot IDs and add the frame position code.
 
     token(t, e) = concat(feature(t, e), onehot(e)) + pos(t), with the
     position code shared by a frame's entities and zero on the E ID
@@ -98,21 +98,20 @@ def build_frame_tokens(entities: EntitySet, config: ModelConfig) -> Tensor:
     sequences of different lengths then share one code range instead of
     forcing extrapolation.
     """
-    b, t, e = entities.features.shape[0], entities.num_frames, entities.num_entities
-    if e != config.entities:
-        raise ValueError(
-            f"entity set has E={e}, fusion config expects E={config.entities}"
-        )
-    dtype = entities.features.dtype
+    b, n, _ = tokens.shape
+    e, dtype = config.entities, tokens.dtype
+    if n % e:
+        raise ValueError(f"{n} tokens are not whole frames of E={e} entities")
+    t = n // e
 
-    ids = np.broadcast_to(np.tile(np.eye(e, dtype=dtype), (t, 1)), (b, t * e, e))
-    tokens = T.concat([entities.features, Tensor(ids, dtype=dtype)], axis=2)
+    ids = np.broadcast_to(np.tile(np.eye(e, dtype=dtype), (t, 1)), (b, n, e))
+    tagged = T.concat([tokens, Tensor(ids, dtype=dtype)], axis=2)
 
     positions = np.arange(t, dtype=np.float64) * (POS_RANGE / max(t - 1, 1.0))
     pos = config.pos_scale * sinusoidal_encoding(positions, config.model_dim, dtype)
-    padded = np.zeros((b, t * e, config.token_dim), dtype=dtype)
+    padded = np.zeros((b, n, config.token_dim), dtype=dtype)
     padded[:, :, : config.model_dim] = np.repeat(pos, e, axis=0)
-    return T.add(tokens, Tensor(padded, dtype=dtype))
+    return T.add(tagged, Tensor(padded, dtype=dtype))
 
 
 def _attention(x: Tensor, params: dict[str, Parameter], pre: str, heads: int) -> Tensor:
@@ -152,12 +151,13 @@ def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter
     return T.layer_norm(h, params["fusion.final.gamma"], params["fusion.final.beta"])
 
 
-def pool_output(outputs: Tensor, num_frames: int, num_entities: int, mode: str) -> Tensor:
+def pool_output(outputs: Tensor, num_entities: int, mode: str) -> Tensor:
     """Reduce [B, T*E, d] fused tokens to [B, T, d] frame embeddings."""
-    t, e = num_frames, num_entities
     b, n, d = outputs.shape
-    if n != t * e:
-        raise ValueError(f"expected {t * e} tokens, got {n}")
+    e = num_entities
+    if n % e:
+        raise ValueError(f"{n} tokens are not whole frames of {e} entities")
+    t = n // e
     if mode == "cls_style":
         return T.take_rows(outputs, np.arange(t) * e)
     if mode == "average":
@@ -171,29 +171,26 @@ def pool_output(outputs: Tensor, num_frames: int, num_entities: int, mode: str) 
 # fixed-width baseline
 
 
-def init_fixed_width_params(rng: np.random.Generator, channels: int,
-                            num_splits: int, model_dim: int) -> dict[str, Parameter]:
-    """Learned split of a mean-pooled frame vector into N fusion tokens:
-    `split.w` [D, N * model_dim] and `split.b`."""
+def init_fixed_width_params(rng: np.random.Generator,
+                            config: ModelConfig) -> dict[str, Parameter]:
+    """Learned split of a mean-pooled frame vector into N = `entities`
+    fusion tokens: `split.w` [D, N * model_dim] and `split.b`."""
+    width = config.entities * config.model_dim
     params = [
         Parameter("split.w",
-                  rng.standard_normal((channels, num_splits * model_dim)) / math.sqrt(channels)),
-        Parameter("split.b", np.zeros(num_splits * model_dim)),
+                  rng.standard_normal((config.channels, width)) / math.sqrt(config.channels)),
+        Parameter("split.b", np.zeros(width)),
     ]
     return {p.name: p for p in params}
 
 
 def split_frame_tokens(last_layer: np.ndarray, params: dict[str, Parameter],
-                       num_splits: int, model_dim: int) -> EntitySet:
-    """Mean-pool a [B, T, S, D] grid per frame and split into N tokens per frame.
-
-    The result mimics an entity set so the tokens proceed through ID
-    tagging, fusion, and pooling exactly like pooled entities.
+                       model_dim: int) -> Tensor:
+    """Mean-pool a [B, T, S, D] grid per frame and split it into N tokens
+    per frame, [B, T*N, model_dim] frame-major like pooled entities, so
+    they proceed through ID tagging, fusion, and pooling alike.
     """
-    b, t = last_layer.shape[:2]
     frame_vecs = last_layer.mean(axis=2)                           # [B, T, D]
     x = Tensor(frame_vecs, dtype=params["split.w"].dtype)
     split = T.bias_add(T.matmul(x, params["split.w"]), params["split.b"])  # [B, T, N*d]
-    tokens = T.reshape(split, (b, t * num_splits, model_dim))
-    return EntitySet(features=tokens, num_frames=t, num_entities=num_splits,
-                     attention=[])
+    return T.reshape(split, (last_layer.shape[0], -1, model_dim))

@@ -27,7 +27,7 @@ from mevid.features import (
 )
 from mevid.model import Model
 from mevid.pipeline import dataset_from_config, model_from_checkpoint, run_trials, summarize
-from mevid.spatial_pooling import EntitySet, extract_entities_from_arrays, init_pooling_params
+from mevid.spatial_pooling import extract_entities_from_arrays, init_pooling_params
 from mevid.tensor import Tensor, grad_check
 
 SEEDS = [1, 2, 3]
@@ -98,26 +98,26 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_attention_invariants():
     rng = np.random.default_rng(0)
-    params = init_pooling_params(rng, 2, 8, 3, 4, 4, 6)
+    config = RunConfig(layer_select=(0, 1), channels=8, entities=3, query_dim=4,
+                       value_dim=4, model_dim=6).model_config()
+    params = init_pooling_params(rng, config)
     video = VideoFeatures(
         video_id="v",
         layers=[rng.standard_normal((3, 16, 8)).astype(np.float32) for _ in range(2)])
-    ents = extract_entities_from_arrays([l[None] for l in video.layers], params)
-    row_sums_ok = all(
-        np.abs(ents.attention[l].data.sum(axis=2) - 1.0).max() < 1e-5
-        for l in range(2))
+    _, maps = extract_entities_from_arrays([l[None] for l in video.layers], params)
+    row_sums_ok = all(np.abs(att.sum(axis=2) - 1.0).max() < 1e-5 for att in maps)
 
     token = rng.standard_normal(8).astype(np.float32)
     degenerate = VideoFeatures(video_id="d",
                                layers=[np.tile(token, (2, 16, 1)) for _ in range(2)])
-    other = init_pooling_params(np.random.default_rng(99), 2, 8, 3, 4, 4, 6)
+    other = init_pooling_params(np.random.default_rng(99), config)
     for l in range(2):
         for name in (f"pool.layer{l}.key_proj", f"pool.layer{l}.value_proj"):
             other[name].data = params[name].data.copy()
     other["pool.out_proj"].data = params["pool.out_proj"].data.copy()
     one_sequence = [l[None] for l in degenerate.layers]
-    out_a = extract_entities_from_arrays(one_sequence, params).features.data
-    out_b = extract_entities_from_arrays(one_sequence, other).features.data
+    out_a = extract_entities_from_arrays(one_sequence, params)[0].data
+    out_b = extract_entities_from_arrays(one_sequence, other)[0].data
     collapse_ok = np.abs(out_a - out_b).max() < 1e-5
 
     report(2, "attention rows stochastic; identical tokens erase the queries",
@@ -136,13 +136,11 @@ def test_criterion_3_permutation_invariants():
     params = tf.init_fusion_params(rng, config)
     t, e = 5, 3
     feats = rng.standard_normal((1, t * e, config.model_dim)).astype(np.float32)
-    ents = EntitySet(features=Tensor(feats), num_frames=t, num_entities=e,
-                     attention=[])
-    tokens = tf.build_frame_tokens(ents, config).data[0]
+    tokens = tf.build_frame_tokens(Tensor(feats), config).data[0]
 
     def pooled(arr, mode):
         return tf.pool_output(tf.fuse_tokens(Tensor(arr[None]), config, params),
-                              t, e, mode).data
+                              e, mode).data
 
     swap12 = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
     cls_ok = np.array_equal(pooled(tokens, "cls_style"),
@@ -321,10 +319,8 @@ def best_actor_mass(model, config, split_of):
     for video, vl in zip(clean, layout.videos):
         if split_of[video.video_id] != "test":
             continue
-        ents = model.extract(select_layers(video, list(config.layer_select)))
         best = 0.0
-        for l in range(len(ents.attention)):
-            att = ents.attention[l].data
+        for att in model.extract(select_layers(video, list(config.layer_select))):
             for e in range(att.shape[1]):
                 per_frame = [
                     att[frame, e, _patch_token_indices(

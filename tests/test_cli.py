@@ -233,6 +233,47 @@ class TestPipelineCommands:
                      "--out", str(tmp_path / "m.mvck")]) == 1
         assert "no train video" in capsys.readouterr().err
 
+    def _rewrite_first(self, data, split, frames=None, labeled=True):
+        """Rewrite the manifest's first `split` video, cut to `frames` frames
+        and optionally without labels; returns its id."""
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = next(e for e in manifest["videos"] if e["split"] == split)
+        video = load_mvff(data / entry["file"], video_id=entry["id"])
+        keep = slice(frames)
+        write_mvff(VideoFeatures(video_id=video.video_id,
+                                 layers=[l[keep] for l in video.layers],
+                                 labels=video.labels[keep] if labeled else None,
+                                 progression=video.progression[keep] if labeled else None),
+                   data / entry["file"])
+        return entry["id"]
+
+    def test_eval_rejects_an_unlabeled_video_before_reading_the_checkpoint(
+            self, tmp_path, capsys, small_config):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
+        video_id = self._rewrite_first(data, "train", labeled=False)
+        # training needs no labels
+        assert main(["train", "--config", small_config, "--data", str(data),
+                     "--out", str(tmp_path / "m.mvck")]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "none.mvck"), "--config", small_config,
+                     "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert f"video {video_id!r} is stored without them" in err
+        assert "No such file" not in err
+
+    def test_eval_rejects_a_one_frame_test_video_before_reading_the_checkpoint(
+            self, tmp_path, capsys, small_config):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
+        video_id = self._rewrite_first(data, "test", frames=1)
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "none.mvck"), "--config", small_config,
+                     "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert f"at least 2 frames per test video, and {video_id!r} has 1" in err
+        assert "No such file" not in err
+
     def test_attn_unknown_video(self, trained, capsys, small_config):
         data, ckpt = trained
         code = main(["attn", str(ckpt), "nope", "--config", small_config,

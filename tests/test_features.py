@@ -1,4 +1,7 @@
+import builtins
 import dataclasses
+import errno
+import os
 import struct
 
 import numpy as np
@@ -22,6 +25,7 @@ from mevid.features import (
     synthetic_layout,
     write_mvff,
 )
+from mevid.model import Model, load_checkpoint_bytes, save_checkpoint, save_checkpoint_bytes
 
 SMALL = SyntheticSpec(videos=3, frames=16, grid=4, channels=8, phases=3, layers=2,
                       patch=2, noise=0.1, data_seed=7)
@@ -270,3 +274,97 @@ class TestSelectLayers:
         video = generate_synthetic_dataset(SMALL)[0]
         with pytest.raises(ValueError, match="increasing"):
             select_layers(video, [1, 0])
+
+
+class _DiskFullAfter:
+    """A binary file that takes `room` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        data = bytes(data)
+        if len(data) > self.room:
+            self.fh.write(data[: self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _full_disk_open(room):
+    real_open = builtins.open
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _DiskFullAfter(fh, room) if mode[0] in "wx" and "b" in mode else fh
+
+    return fake_open
+
+
+TINY = RunConfig(entities=2, layer_select=(0,), channels=4, query_dim=2, value_dim=2,
+                 model_dim=4, blocks=1, mlp_ratio=1, proj_hidden=2, proj_dim=2)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("room", [0, 30, 500])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, room):
+        videos = generate_synthetic_dataset(SMALL)[:2]
+        models = [Model(TINY.model_config(), np.random.default_rng(i)) for i in range(2)]
+        writers = {"v.mvff": lambda path, i: write_mvff(videos[i], path),
+                   "m.mvck": lambda path, i: save_checkpoint(models[i], path)}
+        for name, write in writers.items():
+            folder = tmp_path / name.replace(".", "_")
+            folder.mkdir()
+            path = folder / name
+            write(path, 0)
+            before = path.read_bytes()
+            with monkeypatch.context() as m:
+                m.setattr(builtins, "open", _full_disk_open(room))
+                with pytest.raises(OSError, match="No space"):
+                    write(path, 1)
+            assert path.read_bytes() == before, name
+            assert os.listdir(folder) == [name]
+            write(path, 1)
+            assert path.read_bytes() != before
+            assert os.listdir(folder) == [name]
+
+
+class TestParserFuzz:
+    @given(st.sampled_from(["mvck", "mvff"]), st.data())
+    def test_mutated_files_parse_or_raise_value_error(self, tmp_path_factory, fmt, data):
+        """Truncated, bit-flipped or extended MVCK and MVFF bytes either load
+        or raise `ValueError` (`FormatError` is one); nothing else escapes."""
+        rng = np.random.default_rng(0)
+        path = tmp_path_factory.mktemp("fuzz") / "v.mvff"
+        if fmt == "mvck":
+            raw = save_checkpoint_bytes(Model(TINY.model_config(), rng))
+        else:
+            write_mvff(VideoFeatures(
+                video_id="v",
+                layers=[rng.standard_normal((3, 2, 2)).astype(np.float32) for _ in range(2)],
+                labels=np.array([0, 1, 1]),
+                progression=np.array([0.0, 0.5, 1.0], dtype=np.float32)), path)
+            raw = path.read_bytes()
+        mutated = bytearray(raw)
+        # half the flips land in the first 32 bytes, where the headers are
+        position = st.one_of(st.integers(0, 31), st.integers(0, len(raw) - 1))
+        for pos, bit in data.draw(st.lists(st.tuples(position, st.integers(0, 7)),
+                                           max_size=4)):
+            mutated[pos] ^= 1 << bit
+        cut = data.draw(st.one_of(st.none(), st.integers(0, len(raw))))
+        mutated = mutated[:cut] + data.draw(st.binary(max_size=12))
+        try:
+            if fmt == "mvck":
+                load_checkpoint_bytes(bytes(mutated))
+            else:
+                path.write_bytes(bytes(mutated))
+                load_mvff(path)
+        except ValueError:
+            pass

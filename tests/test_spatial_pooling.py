@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mevid import spatial_pooling as sp
+from mevid.config import RunConfig
 from mevid.features import VideoFeatures
+from mevid.model import Model
 from mevid.tensor import grad_check
 
 
@@ -18,16 +22,17 @@ def one_sequence(layers):
 
 
 def make_params(rng, layers=2, d=8, e=2, d_q=4, d_v=4, d_model=6):
-    return sp.init_pooling_params(rng, layers, d, e, d_q, d_v, d_model)
+    config = RunConfig(layer_select=tuple(range(layers)), channels=d, entities=e,
+                       query_dim=d_q, value_dim=d_v, model_dim=d_model).model_config()
+    return sp.init_pooling_params(rng, config)
 
 
 class TestExtractEntities:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        ents = sp.extract_entities_from_arrays(one_sequence(make_features(rng).layers),
-                                               make_params(rng))
-        for layer in range(2):
-            att = ents.attention[layer].data
+        _, maps = sp.extract_entities_from_arrays(one_sequence(make_features(rng).layers),
+                                                  make_params(rng))
+        for att in maps:
             assert np.abs(att.sum(axis=2) - 1.0).max() < 1e-5
             assert (att >= 0).all()
 
@@ -45,8 +50,8 @@ class TestExtractEntities:
                 params_b[name].data = params_a[name].data.copy()
         params_b["pool.out_proj"].data = params_a["pool.out_proj"].data.copy()
 
-        out_a = sp.extract_entities_from_arrays(one_sequence(video.layers), params_a).features.data
-        out_b = sp.extract_entities_from_arrays(one_sequence(video.layers), params_b).features.data
+        out_a = sp.extract_entities_from_arrays(one_sequence(video.layers), params_a)[0].data
+        out_b = sp.extract_entities_from_arrays(one_sequence(video.layers), params_b)[0].data
         assert np.abs(out_a - out_b).max() < 1e-5
 
         # and the value equals the token's projections pushed through out_proj
@@ -59,7 +64,7 @@ class TestExtractEntities:
         # all others orthogonal: attention collapses onto that token.
         rng = np.random.default_rng(4)
         d = d_q = 4
-        params = sp.init_pooling_params(rng, 1, d, 1, d_q, 3, 3)
+        params = make_params(rng, 1, d, 1, d_q, 3, 3)
         params["pool.layer0.key_proj"].data = np.eye(d, dtype=np.float32)
         q = params["pool.layer0.queries"].data[0]
         q_unit = q / np.linalg.norm(q)
@@ -69,19 +74,19 @@ class TestExtractEntities:
         for j in range(1, 5):
             tokens[0, j] = basis[:, (j - 1) % 3]
         video = VideoFeatures(video_id="v", layers=[tokens])
-        ents = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
+        out, _ = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
         expected = ((tokens[0, 0] @ params["pool.layer0.value_proj"].data)
                     @ params["pool.out_proj"].data)
-        assert np.abs(ents.features.data[0, 0] - expected).max() < 1e-4
+        assert np.abs(out.data[0, 0] - expected).max() < 1e-4
 
     def test_time_constancy(self):
         rng = np.random.default_rng(5)
         frame = rng.standard_normal((1, 12, 8)).astype(np.float32)
         layers = [np.concatenate([frame, frame], axis=0) for _ in range(2)]
         video = VideoFeatures(video_id="v", layers=layers)
-        ents = sp.extract_entities_from_arrays(one_sequence(video.layers), make_params(rng))
-        e = ents.num_entities
-        assert np.array_equal(ents.features.data[0, :e], ents.features.data[0, e:])
+        out, _ = sp.extract_entities_from_arrays(one_sequence(video.layers), make_params(rng))
+        e = 2  # make_params' entity count
+        assert np.array_equal(out.data[0, :e], out.data[0, e:])
 
     def test_token_permutation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -89,13 +94,12 @@ class TestExtractEntities:
         params = make_params(rng)
         perm = rng.permutation(9)
         permuted = VideoFeatures(video_id="v", layers=[layer[:, perm] for layer in video.layers])
-        base = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
-        swapped = sp.extract_entities_from_arrays(one_sequence(permuted.layers), params)
-        assert np.abs(base.features.data - swapped.features.data).max() < 1e-6
-        for layer in range(2):
-            att_a = base.attention[layer].data[:, :, perm]
-            att_b = swapped.attention[layer].data
-            assert np.abs(att_a - att_b).max() < 1e-7
+        base, base_maps = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
+        swapped, swapped_maps = sp.extract_entities_from_arrays(one_sequence(permuted.layers),
+                                                                params)
+        assert np.abs(base.data - swapped.data).max() < 1e-6
+        for att_a, att_b in zip(base_maps, swapped_maps):
+            assert np.abs(att_a[:, :, perm] - att_b).max() < 1e-7
 
     def test_no_saturation_at_init(self):
         for seed in range(5):
@@ -104,19 +108,19 @@ class TestExtractEntities:
             grids = rng.standard_normal((3, s, d))
             grids /= np.linalg.norm(grids, axis=2, keepdims=True)  # unit-norm tokens
             video = VideoFeatures(video_id="v", layers=[grids.astype(np.float32)])
-            params = sp.init_pooling_params(rng, 1, d, 3, 8, 8, 8)
-            ents = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
-            assert ents.attention[0].data.max() < 0.9
+            params = make_params(rng, 1, d, 3, 8, 8, 8)
+            _, maps = sp.extract_entities_from_arrays(one_sequence(video.layers), params)
+            assert maps[0].max() < 0.9
 
     def test_gradients(self):
         rng = np.random.default_rng(7)
         video = make_features(rng, t=2, s=4, d=5)
-        params = sp.init_pooling_params(rng, 2, 5, 2, 3, 3, 4)
+        params = make_params(rng, 2, 5, 2, 3, 3, 4)
 
         def f(p):
-            out = sp.extract_entities_from_arrays(one_sequence(video.layers), p)
+            out, _ = sp.extract_entities_from_arrays(one_sequence(video.layers), p)
             from mevid import tensor as T
-            return T.sum_all(T.mul(out.features, out.features))
+            return T.sum_all(T.mul(out, out))
 
         report = grad_check(f, params)
         assert report.passed and report.max_rel_error < 1e-5, report
@@ -136,12 +140,12 @@ class TestExtractEntities:
     def test_single_entity_gradients(self):
         rng = np.random.default_rng(13)
         video = make_features(rng, t=2, s=4, d=5, layers=1)
-        params = sp.init_pooling_params(rng, 1, 5, 1, 3, 3, 4)
+        params = make_params(rng, 1, 5, 1, 3, 3, 4)
 
         def f(p):
-            out = sp.extract_entities_from_arrays(one_sequence(video.layers), p)
+            out, _ = sp.extract_entities_from_arrays(one_sequence(video.layers), p)
             from mevid import tensor as T
-            return T.sum_all(T.mul(out.features, out.features))
+            return T.sum_all(T.mul(out, out))
 
         report = grad_check(f, params)
         assert report.passed and report.max_rel_error < 1e-5, report
@@ -149,9 +153,8 @@ class TestExtractEntities:
 
 class TestAttentionExport:
     def test_constant_map_renders_mid_gray(self, tmp_path):
-        amap = sp.AttentionMap(4, np.full((4, 4), 1 / 16))
         path = tmp_path / "c.pgm"
-        sp.export_attention(amap, path)
+        sp.export_attention(np.full((4, 4), 1 / 16), path)
         raw = path.read_bytes()
         header = b"P5\n4 4\n255\n"
         assert raw[: len(header)] == header
@@ -160,9 +163,8 @@ class TestAttentionExport:
     def test_payload_size_for_grid_8(self, tmp_path):
         rng = np.random.default_rng(0)
         v = rng.uniform(0.5, 1.0, (8, 8))
-        amap = sp.AttentionMap(8, v / v.sum())
         path = tmp_path / "g.pgm"
-        sp.export_attention(amap, path)
+        sp.export_attention(v / v.sum(), path)
         raw = path.read_bytes()
         header = b"P5\n8 8\n255\n"
         assert len(raw) == len(header) + 64
@@ -170,24 +172,27 @@ class TestAttentionExport:
     def test_one_hot_map(self, tmp_path):
         v = np.zeros((4, 4))
         v[1, 2] = 1.0
-        amap = sp.AttentionMap(4, v)
         path = tmp_path / "h.pgm"
-        sp.export_attention(amap, path)
+        sp.export_attention(v, path)
         pixels = np.frombuffer(path.read_bytes()[len(b"P5\n4 4\n255\n"):], dtype=np.uint8)
         assert sorted(pixels.tolist())[-1] == 255
         assert (pixels == 255).sum() == 1
         assert (pixels == 0).sum() == 15
 
-    def test_map_validation(self):
-        with pytest.raises(ValueError):
-            sp.AttentionMap(3, np.full((3, 3), 1.0))  # sums to 9
-        with pytest.raises(ValueError):
-            sp.AttentionMap(2, np.full((3, 3), 1 / 9))  # wrong side
-
-    def test_attention_map_from_entity_set(self):
+    def test_model_extract_gives_one_t_e_s_map_per_layer(self):
         rng = np.random.default_rng(1)
-        video = make_features(rng, s=16)
-        ents = sp.extract_entities_from_arrays(one_sequence(video.layers), make_params(rng))
-        amap = sp.attention_map(ents, frame=1, entity=0, layer=1, grid_side=4)
-        assert amap.values.shape == (4, 4)
-        assert abs(amap.values.sum() - 1.0) < 1e-5
+        video = make_features(rng, t=3, s=16)
+        config = RunConfig(layer_select=(0, 1), channels=8, entities=2, query_dim=4,
+                           value_dim=4, model_dim=6).model_config()
+        model = Model(config, rng)
+        maps = model.extract(video)
+        assert len(maps) == 2
+        for layer, att in enumerate(maps):
+            assert att.shape == (3, 2, 16)
+            assert np.abs(att.sum(axis=2) - 1.0).max() < 1e-5
+            # row t is frame t
+            alone = model.extract(VideoFeatures(video_id="v", layers=[
+                l[1:2] for l in video.layers]))[layer]
+            assert np.abs(att[1] - alone[0]).max() < 1e-6
+        with pytest.raises(ValueError, match="entity architecture"):
+            Model(dataclasses.replace(config, arch="fixed_width"), rng).extract(video)

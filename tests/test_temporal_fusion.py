@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -8,22 +9,20 @@ from mevid import temporal_fusion as tf
 from mevid import tensor as T
 from mevid.config import RunConfig
 from mevid.model import Model, load_checkpoint_bytes, save_checkpoint_bytes
-from mevid.spatial_pooling import EntitySet
 from mevid.tensor import Tensor, grad_check
 
 CFG = RunConfig(entities=3, model_dim=8, blocks=3, heads=2, mlp_ratio=2).model_config()
 
 
-def entity_set(rng, t=4, e=3, d=8):
-    """One sequence of T frames with E entities each."""
-    feats = rng.standard_normal((1, t * e, d)).astype(np.float32)
-    return EntitySet(features=Tensor(feats), num_frames=t, num_entities=e, attention=[])
+def entity_tokens(rng, t=4, e=3, d=8):
+    """One sequence of T frames with E entity tokens each, frame-major."""
+    return Tensor(rng.standard_normal((1, t * e, d)).astype(np.float32))
 
 
 class TestBuildFrameTokens:
     def test_id_suffix(self):
         rng = np.random.default_rng(0)
-        ents = entity_set(rng)
+        ents = entity_tokens(rng)
         tokens = tf.build_frame_tokens(ents, CFG).data[0]
         assert tokens.shape == (12, CFG.model_dim + 3)
         # position code is zero on the ID coordinates, so the suffix survives
@@ -33,17 +32,16 @@ class TestBuildFrameTokens:
 
     def test_frame_zero_code_is_sin0_cos1(self):
         rng = np.random.default_rng(1)
-        ents = entity_set(rng, t=2)
+        ents = entity_tokens(rng, t=2)
         tokens = tf.build_frame_tokens(ents, CFG).data[0]
-        pe0 = tokens[0, : CFG.model_dim] - ents.features.data[0, 0]
+        pe0 = tokens[0, : CFG.model_dim] - ents.data[0, 0]
         assert np.allclose(pe0[0::2], 0.0, atol=1e-6)
         assert np.allclose(pe0[1::2], 1.0, atol=1e-6)
 
     def test_identical_frames_differ_only_by_position_code(self):
         rng = np.random.default_rng(2)
         frame = rng.standard_normal((3, CFG.model_dim)).astype(np.float32)
-        ents = EntitySet(features=Tensor(np.tile(frame, (1, 2, 1))), num_frames=2,
-                         num_entities=3, attention=[])
+        ents = Tensor(np.tile(frame, (1, 2, 1)))
         tokens = tf.build_frame_tokens(ents, CFG).data[0]
         diff = tokens[3:] - tokens[:3]
         assert np.allclose(diff, diff[0], atol=1e-6)  # same shift for all entities
@@ -52,7 +50,7 @@ class TestBuildFrameTokens:
     def test_entity_count_mismatch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="E="):
-            tf.build_frame_tokens(entity_set(rng, e=2), CFG)
+            tf.build_frame_tokens(entity_tokens(rng, e=2), CFG)
 
 
 class TestFusion:
@@ -63,7 +61,7 @@ class TestFusion:
         params = self._params()
         for t, e in [(2, 3), (5, 3)]:
             rng = np.random.default_rng(t)
-            tokens = tf.build_frame_tokens(entity_set(rng, t=t, e=e), CFG)
+            tokens = tf.build_frame_tokens(entity_tokens(rng, t=t, e=e), CFG)
             out = tf.fuse_tokens(tokens, CFG, params)
             assert out.shape == (1, t * e, CFG.model_dim)
 
@@ -71,7 +69,7 @@ class TestFusion:
         rng = np.random.default_rng(4)
         params = self._params()
         t, e = 5, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG).data[0]
+        tokens = tf.build_frame_tokens(entity_tokens(rng, t=t), CFG).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
         base = tf.fuse_tokens(Tensor(tokens[None]), CFG, params).data[0]
         swapped = tf.fuse_tokens(Tensor(tokens[perm][None]), CFG, params).data[0]
@@ -81,20 +79,20 @@ class TestFusion:
         rng = np.random.default_rng(5)
         params = self._params()
         t, e = 5, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG).data[0]
+        tokens = tf.build_frame_tokens(entity_tokens(rng, t=t), CFG).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
         pool = lambda arr: tf.pool_output(
-            tf.fuse_tokens(Tensor(arr[None]), CFG, params), t, e, "cls_style").data
+            tf.fuse_tokens(Tensor(arr[None]), CFG, params), e, "cls_style").data
         assert np.array_equal(pool(tokens), pool(tokens[perm]))
 
     def test_average_pooling_invariant_any_permutation(self):
         rng = np.random.default_rng(6)
         params = self._params()
         t, e = 4, 3
-        tokens = tf.build_frame_tokens(entity_set(rng, t=t), CFG).data[0]
+        tokens = tf.build_frame_tokens(entity_tokens(rng, t=t), CFG).data[0]
         perm = np.arange(t * e).reshape(t, e)[:, [2, 0, 1]].reshape(-1)
         pool = lambda arr: tf.pool_output(
-            tf.fuse_tokens(Tensor(arr[None]), CFG, params), t, e, "average").data
+            tf.fuse_tokens(Tensor(arr[None]), CFG, params), e, "average").data
         assert np.abs(pool(tokens) - pool(tokens[perm])).max() < 1e-6
 
     def test_gradients_through_build_fuse_pool(self):
@@ -105,10 +103,8 @@ class TestFusion:
         params = tf.init_fusion_params(rng, small)
 
         def f(p):
-            ents = EntitySet(features=Tensor(feats, dtype=p["fusion.input.w"].dtype),
-                             num_frames=4, num_entities=2, attention=[])
-            tokens = tf.build_frame_tokens(ents, small)
-            out = tf.pool_output(tf.fuse_tokens(tokens, small, p), 4, 2, "average")
+            tokens = tf.build_frame_tokens(Tensor(feats, dtype=p["fusion.input.w"].dtype), small)
+            out = tf.pool_output(tf.fuse_tokens(tokens, small, p), 2, "average")
             return T.sum_all(T.mul(out, out))
 
         report = grad_check(f, params)
@@ -119,49 +115,48 @@ class TestPooling:
     def test_single_entity_modes_agree(self):
         rng = np.random.default_rng(8)
         out = Tensor(rng.standard_normal((1, 6, 5)).astype(np.float32))
-        a = tf.pool_output(out, 6, 1, "cls_style").data
-        b = tf.pool_output(out, 6, 1, "average").data
+        a = tf.pool_output(out, 1, "cls_style").data
+        b = tf.pool_output(out, 1, "average").data
         assert np.allclose(a, b, atol=1e-7)
 
     def test_average_of_identical_tokens(self):
         row = np.random.default_rng(9).standard_normal((1, 5)).astype(np.float32)
         out = Tensor(np.tile(row, (1, 6, 1)))
-        pooled = tf.pool_output(out, 2, 3, "average").data[0]
+        pooled = tf.pool_output(out, 3, "average").data[0]
         assert np.allclose(pooled, np.tile(row, (2, 1)), atol=1e-6)
 
     def test_cls_returns_entity_zero_exactly(self):
         rng = np.random.default_rng(10)
         arr = rng.standard_normal((8, 5)).astype(np.float32)
-        pooled = tf.pool_output(Tensor(arr[None]), 4, 2, "cls_style").data[0]
+        pooled = tf.pool_output(Tensor(arr[None]), 2, "cls_style").data[0]
         assert np.array_equal(pooled, arr[0::2])
 
     def test_bad_mode_and_count(self):
         out = Tensor(np.zeros((1, 6, 4)))
         with pytest.raises(ValueError, match="pooling"):
-            tf.pool_output(out, 2, 3, "max")
+            tf.pool_output(out, 3, "max")
         with pytest.raises(ValueError, match="tokens"):
-            tf.pool_output(out, 2, 2, "average")
+            tf.pool_output(out, 4, "average")  # 6 tokens, not whole frames of 4
 
 
 class TestFixedWidthBaseline:
     def test_token_count_matches_entity_width(self):
         rng = np.random.default_rng(11)
         last = rng.standard_normal((1, 5, 16, 6)).astype(np.float32)
-        params = tf.init_fixed_width_params(rng, 6, 3, CFG.model_dim)
-        ents = tf.split_frame_tokens(last, params, 3, CFG.model_dim)
-        assert ents.features.shape == (1, 15, CFG.model_dim)
-        assert ents.num_entities == 3
+        params = tf.init_fixed_width_params(rng, dataclasses.replace(CFG, channels=6))
+        tokens = tf.split_frame_tokens(last, params, CFG.model_dim)
+        assert tokens.shape == (1, 5 * CFG.entities, CFG.model_dim)
 
     def test_identity_split_gives_equal_tokens(self):
         # d_model == channels lets the split be stacked identity blocks
         rng = np.random.default_rng(12)
         d = CFG.model_dim
         last = rng.standard_normal((3, 4, d)).astype(np.float32)
-        params = tf.init_fixed_width_params(rng, d, 3, d)
+        params = tf.init_fixed_width_params(rng, dataclasses.replace(CFG, channels=d))
         params["split.w"].data = np.concatenate([np.eye(d, dtype=np.float32)] * 3, axis=1)
         params["split.b"].data = np.zeros(3 * d, dtype=np.float32)
-        ents = tf.split_frame_tokens(last[None], params, 3, d)
-        grouped = ents.features.data.reshape(3, 3, d)
+        tokens = tf.split_frame_tokens(last[None], params, d)
+        grouped = tokens.data.reshape(3, 3, d)
         frame_mean = last.mean(axis=1)
         for n in range(3):
             assert np.abs(grouped[:, n] - frame_mean).max() < 1e-6
