@@ -16,10 +16,12 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 from . import pipeline
 from .config import ConfigError, RunConfig, _validate, load_config, render_config
-from .features import generate_synthetic_dataset, load_mvff, select_layers, write_mvff
+from .features import (atomic_open, generate_synthetic_dataset, load_mvff, select_layers,
+                       write_mvff)
 from .model import save_checkpoint
 from .spatial_pooling import export_attention
 from .training import format_loss_trace
@@ -74,9 +76,40 @@ def _echo_config(config: RunConfig) -> None:
     sys.stderr.flush()
 
 
+def _write_text(path: str, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def _write_manifest(data_dir: str, entries: list[dict]) -> None:
+    _write_text(os.path.join(data_dir, "manifest.json"),
+                json.dumps({"videos": entries}, indent=2, sort_keys=True) + "\n")
+
+
 def _read_manifest(data_dir: str) -> list[dict]:
-    with open(os.path.join(data_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)["videos"]
+    """The manifest's entries, checked before any MVFF file is read: each
+    has a string `id` that no other entry uses, a string `file`, and a
+    `split` of train or test."""
+    path = os.path.join(data_dir, "manifest.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    entries = manifest.get("videos") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise UsageError(f"{path} must hold an object with a \"videos\" list")
+    seen = set()
+    for index, entry in enumerate(entries):
+        where = f"{path}: videos[{index}]"
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and isinstance(entry.get("file"), str)):
+            raise UsageError(f"{where} needs a string \"id\" and a string \"file\"")
+        where += f" ({entry['id']!r})"
+        if entry.get("split") not in ("train", "test"):
+            raise UsageError(f"{where} has split {entry.get('split')!r}, "
+                             f"not \"train\" or \"test\"")
+        if entry["id"] in seen:
+            raise UsageError(f"{where} repeats an earlier entry's id")
+        seen.add(entry["id"])
+    return entries
 
 
 def _load_entry(data_dir: str, entry: dict, config: RunConfig):
@@ -90,8 +123,12 @@ def _load_entries(data_dir: str, entries: list[dict], config: RunConfig):
     return videos, {entry["id"]: entry["split"] for entry in entries}
 
 
-def _split_counts(entries: list[dict]) -> dict[str, int]:
-    return {s: sum(1 for e in entries if e["split"] == s) for s in ("train", "test")}
+def _require_eval_split(splits, source: str) -> None:
+    # the probes fit on train videos; tau and retrieval compare test pairs
+    counts = Counter(splits)
+    if counts["train"] < 1 or counts["test"] < 2:
+        raise UsageError(f"eval needs at least 1 train and 2 test videos, {source} "
+                         f"{counts['train']} train / {counts['test']} test")
 
 
 def _cmd_gen(args, config: RunConfig) -> int:
@@ -108,10 +145,8 @@ def _cmd_gen(args, config: RunConfig) -> int:
         write_mvff(video, os.path.join(args.out, fname))
         entries.append({"id": video.video_id, "file": fname,
                         "split": split_of[video.video_id]})
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump({"videos": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    counts = _split_counts(entries)
+    _write_manifest(args.out, entries)
+    counts = Counter(split_of.values())
     sys.stderr.write(f"wrote {len(entries)} videos ({counts['train']} train / "
                      f"{counts['test']} test) to {args.out}\n")
     return 0
@@ -132,8 +167,7 @@ def _cmd_train(args, config: RunConfig) -> int:
     result = pipeline.train_model(config, videos, split_of)
     save_checkpoint(result.model, args.out)
     trace_path = args.out + ".loss.tsv"
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(format_loss_trace(result.loss_trace))
+    _write_text(trace_path, format_loss_trace(result.loss_trace))
     sys.stderr.write(f"checkpoint -> {args.out}\nloss trace -> {trace_path}\n")
     return 0
 
@@ -141,11 +175,7 @@ def _cmd_train(args, config: RunConfig) -> int:
 def _cmd_eval(args, config: RunConfig) -> int:
     _echo_config(config)
     entries = _read_manifest(args.data)
-    counts = _split_counts(entries)
-    # the probes fit on train videos; tau and retrieval compare test pairs
-    if counts["train"] < 1 or counts["test"] < 2:
-        raise UsageError(f"eval needs at least 1 train and 2 test videos, {args.data} "
-                         f"lists {counts['train']} train / {counts['test']} test")
+    _require_eval_split((e["split"] for e in entries), f"{args.data} lists")
     videos, split_of = _load_entries(args.data, entries, config)
     for video in videos:
         if video.labels is None:
@@ -198,13 +228,17 @@ def _cmd_trials(args, config: RunConfig) -> int:
         raise UsageError(f"bad --seeds value {args.seeds!r}") from exc
     if len(seeds) < 2 or min(seeds) < 0:
         raise UsageError(f"--seeds needs at least 2 non-negative seeds, got {args.seeds!r}")
-    summary = pipeline.summarize(pipeline.run_trials(config, seeds))
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"--seeds repeats a seed: {args.seeds!r}")
+    videos, split_of = pipeline.dataset_from_config(config)
+    _require_eval_split(split_of.values(), f"videos = {config.videos} with train_fraction "
+                                           f"{config.train_fraction} gives")
+    summary = pipeline.summarize(pipeline.run_trials(config, seeds, videos, split_of))
     width = max(len(name) for name in summary)
     sys.stdout.write("".join(f"{name:<{width}}  {stat['summary']}\n"
                              for name, stat in summary.items()))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, sort_keys=True) + "\n")
+        _write_text(args.out, json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 

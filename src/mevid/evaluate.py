@@ -25,27 +25,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class EmbeddedVideo:
-    video_id: str
     embeddings: np.ndarray        # [T, d] float32
     labels: np.ndarray            # [T] int
     progression: np.ndarray       # [T] float
-    split: str                    # "train" | "test"
-
-
-@dataclass
-class EmbeddedDataset:
-    videos: list[EmbeddedVideo]
-
-    def subset(self, split: str) -> list[EmbeddedVideo]:
-        return [v for v in self.videos if v.split == split]
-
-    def stacked(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        vids = self.subset(split)
-        if not vids:
-            raise ValueError(f"no videos in split {split!r}")
-        x = np.concatenate([v.embeddings for v in vids], axis=0)
-        y = np.concatenate([v.labels for v in vids], axis=0)
-        return x, y
 
 
 def _available_cpus() -> int:
@@ -112,7 +94,7 @@ def _one_blas_thread():
             set_(count)
 
 
-def embed_dataset(model, videos, split_of: dict[str, str]) -> EmbeddedDataset:
+def embed_dataset(model, videos) -> list[EmbeddedVideo]:
     """Run the frozen model over full videos; no gradients are recorded.
 
     Videos are embedded concurrently, one thread per available CPU up to
@@ -129,20 +111,14 @@ def embed_dataset(model, videos, split_of: dict[str, str]) -> EmbeddedDataset:
 
     def embed(video) -> EmbeddedVideo:
         emb = model.embed_frames([l[None] for l in video.layers]).data[0].copy()
-        return EmbeddedVideo(
-            video_id=video.video_id,
-            embeddings=emb,
-            labels=np.asarray(video.labels),
-            progression=np.asarray(video.progression),
-            split=split_of[video.video_id],
-        )
+        return EmbeddedVideo(emb, np.asarray(video.labels), np.asarray(video.progression))
 
     videos = list(videos)
     workers = min(_available_cpus(), len(videos))
     if workers <= 1:
-        return EmbeddedDataset([embed(video) for video in videos])
+        return [embed(video) for video in videos]
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return EmbeddedDataset(list(pool.map(embed, videos)))
+        return list(pool.map(embed, videos))
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +150,16 @@ def _fit_softmax_probe(x: np.ndarray, y: np.ndarray, classes: int,
     return w
 
 
-def linear_probe_classification(data: EmbeddedDataset, epochs: int = 500,
-                                lr: float = 1.0) -> float:
+def linear_probe_classification(train: list[EmbeddedVideo], test: list[EmbeddedVideo],
+                                epochs: int, lr: float) -> float:
     """Test-frame accuracy of a multinomial logistic probe on frozen
-    embeddings, standardized by train-split statistics. The classes are
+    embeddings, standardized by train-video statistics. The classes are
     the distinct train labels; a test label unseen in train counts as
     wrong."""
-    train_x, train_y = data.stacked("train")
-    test_x, test_y = data.stacked("test")
+    train_x = np.concatenate([v.embeddings for v in train], axis=0)
+    train_y = np.concatenate([v.labels for v in train], axis=0)
+    test_x = np.concatenate([v.embeddings for v in test], axis=0)
+    test_y = np.concatenate([v.labels for v in test], axis=0)
     classes, train_class = np.unique(train_y, return_inverse=True)
     if classes.size < 2:
         raise ValueError("training split contains a single class")
@@ -206,13 +184,13 @@ def r_squared(targets: np.ndarray, predictions: np.ndarray) -> float:
     return 1.0 - float(((t - p) ** 2).sum()) / ss_tot
 
 
-def phase_progression_r2(data: EmbeddedDataset, ridge_lambda: float = 1e-4) -> float:
+def phase_progression_r2(train: list[EmbeddedVideo], test: list[EmbeddedVideo],
+                         ridge_lambda: float) -> float:
     """Closed-form ridge regression to the progression target; R^2 is
     computed per test video against its own target mean, then averaged.
     Zero-variance videos are excluded with a warning."""
-    train_vids = data.subset("train")
-    x = np.concatenate([v.embeddings for v in train_vids], axis=0).astype(np.float64)
-    y = np.concatenate([v.progression for v in train_vids], axis=0).astype(np.float64)
+    x = np.concatenate([v.embeddings for v in train], axis=0).astype(np.float64)
+    y = np.concatenate([v.progression for v in train], axis=0).astype(np.float64)
     mu, sd = x.mean(axis=0), x.std(axis=0)
     sd[sd < 1e-8] = 1.0
     xb = np.concatenate([(x - mu) / sd, np.ones((x.shape[0], 1))], axis=1)
@@ -221,7 +199,7 @@ def phase_progression_r2(data: EmbeddedDataset, ridge_lambda: float = 1e-4) -> f
 
     scores = []
     skipped = 0
-    for v in data.subset("test"):
+    for v in test:
         target = v.progression.astype(np.float64)
         ss_tot = float(((target - target.mean()) ** 2).sum())
         if ss_tot == 0.0:
@@ -340,7 +318,7 @@ def average_precision_at_k(relevance: np.ndarray, k: int,
 
 
 def retrieval_ap_at_k(videos: list[EmbeddedVideo], distances: DistanceTable,
-                      k: int = 5) -> float:
+                      k: int) -> float:
     """Mean AP@k over every query frame; candidates are all frames from
     the other videos, relevance is a matching phase label. Queries without
     relevant candidates are skipped and counted. `distances` is
@@ -373,13 +351,12 @@ def retrieval_ap_at_k(videos: list[EmbeddedVideo], distances: DistanceTable,
 # combined report
 
 
-def evaluate_model(embedded: EmbeddedDataset, probe_epochs: int, probe_lr: float,
-                   ridge_lambda: float) -> dict[str, float]:
-    test_videos = embedded.subset("test")
-    distances = distance_table(test_videos)
+def evaluate_model(train: list[EmbeddedVideo], test: list[EmbeddedVideo],
+                   probe_epochs: int, probe_lr: float, ridge_lambda: float) -> dict[str, float]:
+    distances = distance_table(test)
     return {
-        "classification": linear_probe_classification(embedded, probe_epochs, probe_lr),
-        "progression": phase_progression_r2(embedded, ridge_lambda),
+        "classification": linear_probe_classification(train, test, probe_epochs, probe_lr),
+        "progression": phase_progression_r2(train, test, ridge_lambda),
         "tau": dataset_tau(distances),
-        "retrieval_ap5": retrieval_ap_at_k(test_videos, distances, k=5),
+        "retrieval_ap5": retrieval_ap_at_k(test, distances, k=5),
     }

@@ -76,10 +76,14 @@ def train_model(config: RunConfig, videos: list[VideoFeatures],
 
 def evaluate_trained(config: RunConfig, model: Model, videos: list[VideoFeatures],
                      split_of: dict[str, str]) -> dict[str, float]:
+    """The four metrics of `model`. The train and test lists keep the order
+    of `videos`, which fixes tau's mean and retrieval's candidate pool."""
     _keep_heap_resident()
-    embedded = embed_dataset(model, videos, split_of)
-    return evaluate_model(embedded, config.probe_epochs, config.probe_lr,
-                          config.ridge_lambda)
+    train = [v for v in videos if split_of[v.video_id] == "train"]
+    test = [v for v in videos if split_of[v.video_id] == "test"]
+    embedded = embed_dataset(model, train + test)
+    return evaluate_model(embedded[:len(train)], embedded[len(train):], config.probe_epochs,
+                          config.probe_lr, config.ridge_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -108,30 +112,18 @@ def summarize(outcomes: list[SeedOutcome]) -> dict[str, dict]:
     return out
 
 
-def run_single(config: RunConfig, videos: list[VideoFeatures],
-               split_of: dict[str, str], seed: int) -> SeedOutcome:
-    result = train_model(config, videos, split_of, seed=seed)
-    metrics = evaluate_trained(config, result.model, videos, split_of)
-    return SeedOutcome(
-        seed=seed,
-        metrics=metrics,
-        checkpoint=save_checkpoint_bytes(result.model),
-        loss_trace=result.loss_trace,
-    )
-
-
-def run_trials(config: RunConfig, seeds: list[int],
-               videos: list[VideoFeatures] | None = None,
-               split_of: dict[str, str] | None = None) -> list[SeedOutcome]:
+def run_trials(config: RunConfig, seeds: list[int], videos: list[VideoFeatures],
+               split_of: dict[str, str]) -> list[SeedOutcome]:
     """Train and evaluate once per seed on a shared dataset."""
-    if videos is None or split_of is None:
-        videos, split_of = dataset_from_config(config)
     outcomes = []
     for seed in seeds:
         try:
-            outcomes.append(run_single(config, videos, split_of, seed))
+            result = train_model(config, videos, split_of, seed=seed)
+            metrics = evaluate_trained(config, result.model, videos, split_of)
         except Exception as exc:
             raise RuntimeError(f"trial with seed {seed} failed: {exc}") from exc
+        outcomes.append(SeedOutcome(seed, metrics, save_checkpoint_bytes(result.model),
+                                    result.loss_trace))
     return outcomes
 
 

@@ -220,18 +220,17 @@ def test_criterion_5_metric_oracles():
              and abs(ev.r_squared([0, 1, 2], [0, 1, 1]) - 0.5) < 1e-12
              and abs(ev.r_squared([2.0, 4.0], [3.0, 3.0])) < 1e-12)
 
-    def clusters(split):
+    def clusters():
         vids = []
         for c in range(2):
             emb = np.zeros((20, 4), dtype=np.float32)
             emb[:, 0] = 1.0 if c == 0 else -1.0
             emb += 0.05 * rng.standard_normal(emb.shape).astype(np.float32)
-            vids.append(ev.EmbeddedVideo(f"{split}{c}", emb, np.full(20, c),
-                                         np.zeros(20, dtype=np.float32), split))
+            vids.append(ev.EmbeddedVideo(emb, np.full(20, c), np.zeros(20, dtype=np.float32)))
         return vids
 
-    data = ev.EmbeddedDataset(clusters("train") + clusters("test"))
-    probe_ok = ev.linear_probe_classification(data, epochs=200, lr=1.0) == 1.0
+    train, test = clusters(), clusters()
+    probe_ok = ev.linear_probe_classification(train, test, epochs=200, lr=1.0) == 1.0
 
     report(5, "rank-correlation and AP@k match brute-force oracles; probe sanity",
            tau_ok and ap_ok and r2_ok and probe_ok)

@@ -274,6 +274,34 @@ class TestPipelineCommands:
         assert f"at least 2 frames per test video, and {video_id!r} has 1" in err
         assert "No such file" not in err
 
+    @pytest.mark.parametrize("case,named", [
+        ("test_entry_twice", "videos[6] ('v4') repeats"),
+        ("split_Train", "videos[0] ('v0') has split 'Train'"),
+        ("no_split", "videos[0] ('v0') has split None"),
+        ("top_level_list", "must hold an object with a \"videos\" list"),
+    ], ids=["test_entry_twice", "split_Train", "no_split", "top_level_list"])
+    def test_malformed_manifest_rejected_before_reading_any_mvff(
+            self, case, named, tmp_path, capsys, small_config, monkeypatch):
+        entries = [{"id": f"v{i}", "file": f"v{i}.mvff", "split": "train" if i < 4 else "test"}
+                   for i in range(6)]
+        if case == "test_entry_twice":
+            entries.append(dict(entries[4]))
+        elif case == "split_Train":
+            entries[0]["split"] = "Train"
+        elif case == "no_split":
+            del entries[0]["split"]
+        manifest = entries if case == "top_level_list" else {"videos": entries}
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr("mevid.cli.load_mvff", None)
+        for argv in (["eval", str(tmp_path / "none.mvck")],
+                     ["train", "--out", str(tmp_path / "m.mvck")]):
+            capsys.readouterr()
+            assert main(argv + ["--config", small_config, "--data", str(data)]) == 1
+            err = capsys.readouterr().err
+            assert named in err and "No such file" not in err
+
     def test_attn_unknown_video(self, trained, capsys, small_config):
         data, ckpt = trained
         code = main(["attn", str(ckpt), "nope", "--config", small_config,
@@ -296,6 +324,20 @@ class TestTrials:
     def test_single_seed_rejected(self, tmp_path, small_config, capsys):
         assert main(["trials", "--config", small_config, "--seeds", "7"]) == 1
         assert "--seeds" in capsys.readouterr().err
+
+    def test_repeated_seed_rejected_before_step_0(self, small_config, capsys, monkeypatch):
+        monkeypatch.setattr("mevid.pipeline.train_model", None)
+        assert main(["trials", "--config", small_config, "--seeds", "1,1"]) == 1
+        assert "--seeds repeats a seed: '1,1'" in capsys.readouterr().err
+
+    def test_fewer_than_two_test_videos_rejected_before_step_0(self, tmp_path, capsys,
+                                                               monkeypatch):
+        cfg = tmp_path / "five.cfg"
+        cfg.write_text(SMALL_CFG.replace("videos = 6", "videos = 5"))
+        monkeypatch.setattr("mevid.pipeline.train_model", None)
+        assert main(["trials", "--config", str(cfg), "--seeds", "1,2"]) == 1
+        err = capsys.readouterr().err
+        assert "at least 1 train and 2 test videos" in err and "4 train / 1 test" in err
 
 
 class TestErrors:

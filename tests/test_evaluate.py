@@ -13,33 +13,30 @@ from mevid.pipeline import dataset_from_config
 from mevid.tensor import GraphError, Tape
 
 
-def make_video(vid, embeddings, labels, progression=None, split="test"):
+def make_video(embeddings, labels, progression=None):
     n = len(embeddings)
     return ev.EmbeddedVideo(
-        video_id=vid,
         embeddings=np.asarray(embeddings, dtype=np.float32),
         labels=np.asarray(labels),
         progression=np.asarray(progression if progression is not None else np.zeros(n),
-                               dtype=np.float32),
-        split=split)
+                               dtype=np.float32))
 
 
-def cluster_dataset(rng, classes=2, per_class=30, d=6, spread=0.05, split="train"):
+def cluster_dataset(rng, classes=2, per_class=30, d=6, spread=0.05):
     videos = []
     for c in range(classes):
         center = np.zeros(d)
         center[0] = 1.0 if c == 0 else -1.0
         emb = center + spread * rng.standard_normal((per_class, d))
-        videos.append(make_video(f"{split}{c}", emb, np.full(per_class, c), split=split))
+        videos.append(make_video(emb, np.full(per_class, c)))
     return videos
 
 
 class TestLinearProbe:
     def test_separable_clusters_reach_full_accuracy(self):
         rng = np.random.default_rng(0)
-        data = ev.EmbeddedDataset(
-            cluster_dataset(rng, split="train") + cluster_dataset(rng, split="test"))
-        acc = ev.linear_probe_classification(data, epochs=200, lr=1.0)
+        train, test = cluster_dataset(rng), cluster_dataset(rng)
+        acc = ev.linear_probe_classification(train, test, epochs=200, lr=1.0)
         assert acc == 1.0
 
     def test_shuffled_labels_hit_chance(self):
@@ -49,63 +46,55 @@ class TestLinearProbe:
             emb = rng.standard_normal((160, 8))
             labels = np.repeat(np.arange(4), 40)
             rng.shuffle(labels)
-            train = [make_video("tr", emb[:120], labels[:120], split="train")]
-            test = [make_video("te", emb[120:], labels[120:], split="test")]
-            data = ev.EmbeddedDataset(train + test)
-            accs.append(ev.linear_probe_classification(data, epochs=100, lr=0.5))
+            train = [make_video(emb[:120], labels[:120])]
+            test = [make_video(emb[120:], labels[120:])]
+            accs.append(ev.linear_probe_classification(train, test, epochs=100, lr=0.5))
         assert abs(np.mean(accs) - 0.25) <= 0.15
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        data = ev.EmbeddedDataset(
-            cluster_dataset(rng, split="train") + cluster_dataset(rng, split="test"))
-        a = ev.linear_probe_classification(data)
-        b = ev.linear_probe_classification(data)
+        train, test = cluster_dataset(rng), cluster_dataset(rng)
+        a = ev.linear_probe_classification(train, test, epochs=500, lr=1.0)
+        b = ev.linear_probe_classification(train, test, epochs=500, lr=1.0)
         assert a == b
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(2)
-        train = [make_video("tr", rng.standard_normal((10, 4)), np.zeros(10, int),
-                            split="train")]
-        test = [make_video("te", rng.standard_normal((4, 4)), np.zeros(4, int))]
-        data = ev.EmbeddedDataset(train + test)
+        train = [make_video(rng.standard_normal((10, 4)), np.zeros(10, int))]
+        test = [make_video(rng.standard_normal((4, 4)), np.zeros(4, int))]
         with pytest.raises(ValueError, match="single class"):
-            ev.linear_probe_classification(data)
+            ev.linear_probe_classification(train, test, epochs=500, lr=1.0)
 
     def test_coordinate_permutation_invariance(self):
         rng = np.random.default_rng(3)
-        train = cluster_dataset(rng, split="train")
-        test = cluster_dataset(rng, split="test")
-        data = ev.EmbeddedDataset(train + test)
-        base = ev.linear_probe_classification(data, epochs=50, lr=0.5)
+        train, test = cluster_dataset(rng), cluster_dataset(rng)
+        base = ev.linear_probe_classification(train, test, epochs=50, lr=0.5)
         perm = rng.permutation(6)
-        permuted = ev.EmbeddedDataset([
-            make_video(v.video_id, v.embeddings[:, perm], v.labels, split=v.split)
-            for v in train + test])
-        assert ev.linear_probe_classification(permuted, epochs=50, lr=0.5) == base
+
+        def permuted(videos):
+            return [make_video(v.embeddings[:, perm], v.labels) for v in videos]
+
+        assert ev.linear_probe_classification(permuted(train), permuted(test),
+                                              epochs=50, lr=0.5) == base
 
     def test_classes_are_the_distinct_train_labels(self):
         # MVFF labels are unbounded u32; sizing the class axis by the
         # largest label would allocate 149 GiB here
         rng = np.random.default_rng(12)
-        videos = cluster_dataset(rng, split="train") + cluster_dataset(rng, split="test")
-        data = ev.EmbeddedDataset(videos)
+        train, test = cluster_dataset(rng), cluster_dataset(rng)
 
-        def relabelled(mapping):
-            return ev.EmbeddedDataset([
-                make_video(v.video_id, v.embeddings, [mapping[int(l)] for l in v.labels],
-                           split=v.split) for v in videos])
+        def relabelled(videos, mapping):
+            return [make_video(v.embeddings, [mapping[int(l)] for l in v.labels])
+                    for v in videos]
 
-        base = ev.linear_probe_classification(data, epochs=50, lr=0.5)
+        base = ev.linear_probe_classification(train, test, epochs=50, lr=0.5)
         assert base == 1.0
-        big = relabelled({0: 3, 1: 4_000_000_000})
-        assert ev.linear_probe_classification(big, epochs=50, lr=0.5) == base
+        big = {0: 3, 1: 4_000_000_000}
+        assert ev.linear_probe_classification(relabelled(train, big), relabelled(test, big),
+                                              epochs=50, lr=0.5) == base
         # a test label never seen in train counts as wrong
-        unseen = ev.EmbeddedDataset([
-            make_video(v.video_id, v.embeddings,
-                       v.labels + 5 if v.video_id == "test1" else v.labels, split=v.split)
-            for v in videos])
-        assert ev.linear_probe_classification(unseen, epochs=50, lr=0.5) == 0.5
+        unseen = [test[0], make_video(test[1].embeddings, test[1].labels + 5)]
+        assert ev.linear_probe_classification(train, unseen, epochs=50, lr=0.5) == 0.5
 
 
 class TestRSquared:
@@ -126,26 +115,23 @@ class TestRSquared:
     def test_progression_probe_recovers_linear_targets(self):
         rng = np.random.default_rng(4)
         videos = []
-        for vid in range(4):
+        for _ in range(4):
             emb = rng.standard_normal((20, 5)).astype(np.float32)
             target = emb[:, 0] * 0.25 + 0.5
-            videos.append(make_video(f"v{vid}", emb, np.zeros(20, int), target,
-                                     split="train" if vid < 2 else "test"))
-        data = ev.EmbeddedDataset(videos)
-        score = ev.phase_progression_r2(data)
+            videos.append(make_video(emb, np.zeros(20, int), target))
+        score = ev.phase_progression_r2(videos[:2], videos[2:], ridge_lambda=1e-4)
         assert score > 0.999
 
     def test_zero_variance_video_excluded(self, caplog):
         rng = np.random.default_rng(5)
-        train = [make_video("tr", rng.standard_normal((12, 4)), np.zeros(12, int),
-                            rng.uniform(0, 1, 12), split="train")]
-        good = make_video("g", rng.standard_normal((8, 4)), np.zeros(8, int),
+        train = [make_video(rng.standard_normal((12, 4)), np.zeros(12, int),
+                            rng.uniform(0, 1, 12))]
+        good = make_video(rng.standard_normal((8, 4)), np.zeros(8, int),
                           rng.uniform(0, 1, 8))
-        flat = make_video("f", rng.standard_normal((8, 4)), np.zeros(8, int),
+        flat = make_video(rng.standard_normal((8, 4)), np.zeros(8, int),
                           np.full(8, 0.5))
-        data = ev.EmbeddedDataset(train + [good, flat])
         with caplog.at_level("WARNING"):
-            score = ev.phase_progression_r2(data)
+            score = ev.phase_progression_r2(train, [good, flat], ridge_lambda=1e-4)
         assert np.isfinite(score)
         assert "zero-variance" in caplog.text
 
@@ -259,8 +245,8 @@ class TestKendallsTau:
 
     def test_dataset_average_over_ordered_pairs(self):
         rng = np.random.default_rng(8)
-        videos = [make_video(f"v{i}", rng.standard_normal((6, 4)), np.zeros(6, int))
-                  for i in range(3)]
+        videos = [make_video(rng.standard_normal((6, 4)), np.zeros(6, int))
+                  for _ in range(3)]
         score = ev.dataset_tau(ev.distance_table(videos))
         expected = np.mean([
             kendalls_tau(a.embeddings, b.embeddings)
@@ -314,18 +300,18 @@ def reference_video_sets():
     """Inputs for the bitwise comparison with the reference loops."""
     rng = np.random.default_rng(12)
     # unequal lengths at the model's width; label 9 occurs in one video only
-    unequal = [make_video(f"u{i}", rng.standard_normal((n, 128)),
-                          rng.integers(0, 4, n)) for i, n in enumerate([3, 8, 13, 21])]
+    unequal = [make_video(rng.standard_normal((n, 128)), rng.integers(0, 4, n))
+               for n in [3, 8, 13, 21]]
     unequal[2].labels[5] = 9
     # frames shared across and within videos, so distances tie exactly and
     # the first minimum and the stable order decide tau and AP
     base = rng.standard_normal((6, 16)).astype(np.float32)
-    tied = [make_video("t0", base, [0, 1, 2, 3, 0, 1]),
-            make_video("t1", base[[5, 0, 4, 3, 0, 2, 1]], [1, 0, 3, 2, 1, 1, 0]),
-            make_video("t2", base[[0, 2, 1, 0, 2, 1]], [2, 2, 0, 1, 3, 0])]
+    tied = [make_video(base, [0, 1, 2, 3, 0, 1]),
+            make_video(base[[5, 0, 4, 3, 0, 2, 1]], [1, 0, 3, 2, 1, 1, 0]),
+            make_video(base[[0, 2, 1, 0, 2, 1]], [2, 2, 0, 1, 3, 0])]
     # a pool shorter than the largest k
-    short = [make_video("s0", rng.standard_normal((2, 5)), [0, 1]),
-             make_video("s1", rng.standard_normal((3, 5)), [1, 0, 1])]
+    short = [make_video(rng.standard_normal((2, 5)), [0, 1]),
+             make_video(rng.standard_normal((3, 5)), [1, 0, 1])]
     return {"unequal": unequal, "tied": tied, "short": short}
 
 
@@ -384,8 +370,8 @@ class TestRetrieval:
 
     def test_query_without_relevant_candidates_skipped(self, caplog):
         rng = np.random.default_rng(10)
-        a = make_video("a", rng.standard_normal((4, 3)), [0, 0, 7, 7])
-        b = make_video("b", rng.standard_normal((4, 3)), [0, 0, 0, 0])
+        a = make_video(rng.standard_normal((4, 3)), [0, 0, 7, 7])
+        b = make_video(rng.standard_normal((4, 3)), [0, 0, 0, 0])
         with caplog.at_level("WARNING"):
             score = retrieval([a, b], k=2)
         assert 0.0 <= score <= 1.0
@@ -394,18 +380,17 @@ class TestRetrieval:
     def test_own_video_excluded_from_pool(self):
         # two videos; labels only match within each video, so if the pool
         # included the query's own frames the score would be positive
-        a = make_video("a", np.zeros((3, 2)), [1, 1, 1])
-        b = make_video("b", np.ones((3, 2)), [2, 2, 2])
+        a = make_video(np.zeros((3, 2)), [1, 1, 1])
+        b = make_video(np.ones((3, 2)), [2, 2, 2])
         with pytest.raises(ValueError, match="skipped"):
             retrieval([a, b], k=2)
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(11)
-        videos = [make_video(f"v{i}", rng.standard_normal((8, 5)),
-                             rng.integers(0, 3, 8)) for i in range(3)]
+        videos = [make_video(rng.standard_normal((8, 5)), rng.integers(0, 3, 8))
+                  for _ in range(3)]
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        rotated = [make_video(v.video_id, v.embeddings @ q.astype(np.float32),
-                              v.labels) for v in videos]
+        rotated = [make_video(v.embeddings @ q.astype(np.float32), v.labels) for v in videos]
         assert retrieval(videos, 5) == retrieval(rotated, 5)
 
     def test_bad_k(self):
@@ -417,16 +402,11 @@ class TestRetrieval:
 # embedding a dataset on several threads
 
 
-def reference_embed_dataset(model, videos, split_of):
+def reference_embed_dataset(model, videos):
     """One video at a time, on the calling thread."""
-    return ev.EmbeddedDataset([
-        ev.EmbeddedVideo(
-            video_id=video.video_id,
-            embeddings=model.embed_frames([l[None] for l in video.layers]).data[0].copy(),
-            labels=np.asarray(video.labels),
-            progression=np.asarray(video.progression),
-            split=split_of[video.video_id])
-        for video in videos])
+    return [ev.EmbeddedVideo(model.embed_frames([l[None] for l in video.layers]).data[0].copy(),
+                             np.asarray(video.labels), np.asarray(video.progression))
+            for video in videos]
 
 
 def embedding_case(arch, pooling, count):
@@ -435,23 +415,24 @@ def embedding_case(arch, pooling, count):
                        layers=2, patch=1, layer_select=(0, 1), arch=arch, pooling=pooling,
                        entities=2, query_dim=8, value_dim=8, model_dim=16, heads=2,
                        mlp_ratio=2, blocks=2)
-    raw, split_of = dataset_from_config(config)
+    raw, _ = dataset_from_config(config)
     videos = []
     for i, v in enumerate(raw[:count]):
         t = 12 - 3 * (i % 3)
         videos.append(VideoFeatures(v.video_id, [l[:t] for l in v.layers],
                                     v.labels[:t], v.progression[:t]))
-    return Model(config.model_config(), np.random.default_rng(3)), videos, split_of
+    return Model(config.model_config(), np.random.default_rng(3)), videos
 
 
 def assert_same_embedding(got, want):
-    assert [v.video_id for v in got.videos] == [v.video_id for v in want.videos]
-    for g, w in zip(got.videos, want.videos):
+    """Equal video by video, in order; the videos' distinct lengths and
+    contents make a reordering show."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
         assert g.embeddings.dtype == w.embeddings.dtype
         assert g.embeddings.tobytes() == w.embeddings.tobytes()
         assert np.array_equal(g.labels, w.labels)
         assert g.progression.tobytes() == w.progression.tobytes()
-        assert g.split == w.split
 
 
 @pytest.mark.parametrize("arch,pooling", [("entity", "cls_style"), ("entity", "average"),
@@ -462,22 +443,22 @@ def assert_same_embedding(got, want):
 def test_threaded_embedding_matches_one_video_at_a_time(arch, pooling, count, cpus,
                                                         monkeypatch):
     # the patched CPU count runs the threaded path on a one-CPU machine too
-    model, videos, split_of = embedding_case(arch, pooling, count)
+    model, videos = embedding_case(arch, pooling, count)
     assert len({v.num_frames for v in videos}) == min(count, 3)
-    want = reference_embed_dataset(model, videos, split_of)
+    want = reference_embed_dataset(model, videos)
     monkeypatch.setattr(ev, "_available_cpus", lambda: cpus)
-    assert_same_embedding(ev.embed_dataset(model, videos, split_of), want)
+    assert_same_embedding(ev.embed_dataset(model, videos), want)
 
 
 def test_threaded_embedding_under_fast_thread_switching(monkeypatch):
     # more workers than cores, switching threads every microsecond
-    model, videos, split_of = embedding_case("entity", "cls_style", 9)
-    want = reference_embed_dataset(model, videos, split_of)
+    model, videos = embedding_case("entity", "cls_style", 9)
+    want = reference_embed_dataset(model, videos)
     monkeypatch.setattr(ev, "_available_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = ev.embed_dataset(model, videos, split_of)
+        got = ev.embed_dataset(model, videos)
     finally:
         sys.setswitchinterval(interval)
     assert_same_embedding(got, want)
@@ -492,27 +473,27 @@ def test_worker_count_is_capped_by_cpus_and_videos(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(ev, "ThreadPoolExecutor", CountingPool)
-    model, videos, split_of = embedding_case("entity", "cls_style", 3)
+    model, videos = embedding_case("entity", "cls_style", 3)
     for cpus, expected in [(1, []), (2, [2]), (8, [3])]:
         started.clear()
         monkeypatch.setattr(ev, "_available_cpus", lambda: cpus)
-        ev.embed_dataset(model, videos, split_of)
+        ev.embed_dataset(model, videos)
         assert started == expected, cpus
     # a single video never starts a thread
     started.clear()
-    ev.embed_dataset(model, videos[:1], split_of)
+    ev.embed_dataset(model, videos[:1])
     assert started == []
 
 
 def test_embedding_under_an_active_tape_is_rejected(monkeypatch):
-    model, videos, split_of = embedding_case("entity", "cls_style", 2)
+    model, videos = embedding_case("entity", "cls_style", 2)
     monkeypatch.setattr(ev, "_available_cpus", lambda: 2)
     with Tape() as tape:
         with pytest.raises(GraphError, match="Tape"):
-            ev.embed_dataset(model, videos, split_of)
+            ev.embed_dataset(model, videos)
     assert len(tape) == 0
     # once the tape has exited, the same call runs
-    assert len(ev.embed_dataset(model, videos, split_of).videos) == 2
+    assert len(ev.embed_dataset(model, videos)) == 2
 
 
 def test_embedding_threads_call_a_one_thread_openblas_and_restore_it(monkeypatch):
@@ -520,7 +501,7 @@ def test_embedding_threads_call_a_one_thread_openblas_and_restore_it(monkeypatch
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process")
     before = [get() for get, _ in controls]
-    model, videos, split_of = embedding_case("entity", "cls_style", 2)
+    model, videos = embedding_case("entity", "cls_style", 2)
     seen = []
     forward = model.embed_frames
 
@@ -533,7 +514,7 @@ def test_embedding_threads_call_a_one_thread_openblas_and_restore_it(monkeypatch
     try:
         for _, set_ in controls:
             set_(2)
-        ev.embed_dataset(model, videos, split_of)
+        ev.embed_dataset(model, videos)
         assert seen == [[1] * len(controls)] * 2
         assert [get() for get, _ in controls] == [2] * len(controls)
     finally:

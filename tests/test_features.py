@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mevid.cli import _write_manifest
 from mevid.config import RunConfig
 from mevid.features import (
     FormatError,
@@ -317,8 +318,12 @@ class TestAtomicWrites:
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, room):
         videos = generate_synthetic_dataset(SMALL)[:2]
         models = [Model(TINY.model_config(), np.random.default_rng(i)) for i in range(2)]
+        # ten entries, about 900 bytes, so every `room` fails mid-file
+        manifests = [[{"id": f"vid{j:04d}", "file": f"vid{j:04d}.mvff", "split": "train"}
+                      for j in range(i, i + 10)] for i in range(2)]
         writers = {"v.mvff": lambda path, i: write_mvff(videos[i], path),
-                   "m.mvck": lambda path, i: save_checkpoint(models[i], path)}
+                   "m.mvck": lambda path, i: save_checkpoint(models[i], path),
+                   "manifest.json": lambda path, i: _write_manifest(path.parent, manifests[i])}
         for name, write in writers.items():
             folder = tmp_path / name.replace(".", "_")
             folder.mkdir()

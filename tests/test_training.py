@@ -8,7 +8,7 @@ from mevid import training as tr
 from mevid.features import SyntheticSpec, generate_synthetic_dataset
 from mevid.model import Model, save_checkpoint_bytes
 from mevid.config import RunConfig, parse_config_text
-from mevid.pipeline import SeedOutcome, dataset_from_config, run_single, summarize
+from mevid.pipeline import SeedOutcome, dataset_from_config, run_trials, summarize
 from mevid.tensor import Parameter, Tape, Tensor
 
 SPEC = SyntheticSpec(videos=4, frames=16, grid=4, channels=8, phases=3, layers=2,
@@ -259,7 +259,7 @@ class TestTrainLoop:
                 "proj_hidden = 16\nproj_dim = 16\nview_len = 4\nmax_steps = 4\n"
                 f"batch = 2\nprobe_epochs = 50\narch = fixed_width\nentities = {splits}\n")
             videos, split_of = dataset_from_config(config)
-            outcome = run_single(config, videos, split_of, seed=1)
+            outcome = run_trials(config, [1], videos, split_of)[0]
             assert len(outcome.loss_trace) == 4
             assert all(np.isfinite(v) for v in outcome.loss_trace)
 
