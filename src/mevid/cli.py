@@ -92,7 +92,10 @@ def _read_manifest(data_dir: str) -> list[dict]:
     `split` of train or test."""
     path = os.path.join(data_dir, "manifest.json")
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise UsageError(f"{path} is not valid JSON: {exc}") from None
     entries = manifest.get("videos") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise UsageError(f"{path} must hold an object with a \"videos\" list")

@@ -79,8 +79,8 @@ def _one_blas_thread():
     Threads that each call a multithreaded OpenBLAS oversubscribe the CPUs:
     on 2 vCPUs, two embedding threads over a 2-thread OpenBLAS took 2.0 s
     for `eval_long`'s 40 videos, one thread 1.5 s, and two threads over a
-    1-thread OpenBLAS 0.9 s. OpenBLAS splits a product over output blocks,
-    so the thread count does not change a value."""
+    1-thread OpenBLAS 0.9 s. The embedding's products come out the same
+    at one and at two threads; `evaluate_model`'s float64 gram does not."""
     restore = []
     for get, set_ in _openblas_thread_controls():
         count = get()
@@ -353,10 +353,12 @@ def retrieval_ap_at_k(videos: list[EmbeddedVideo], distances: DistanceTable,
 
 def evaluate_model(train: list[EmbeddedVideo], test: list[EmbeddedVideo],
                    probe_epochs: int, probe_lr: float, ridge_lambda: float) -> dict[str, float]:
-    distances = distance_table(test)
-    return {
-        "classification": linear_probe_classification(train, test, probe_epochs, probe_lr),
-        "progression": phase_progression_r2(train, test, ridge_lambda),
-        "tau": dataset_tau(distances),
-        "retrieval_ap5": retrieval_ap_at_k(test, distances, k=5),
-    }
+    # the progression regression's float64 gram rounds per BLAS thread count
+    with _one_blas_thread():
+        distances = distance_table(test)
+        return {
+            "classification": linear_probe_classification(train, test, probe_epochs, probe_lr),
+            "progression": phase_progression_r2(train, test, ridge_lambda),
+            "tau": dataset_tau(distances),
+            "retrieval_ap5": retrieval_ap_at_k(test, distances, k=5),
+        }

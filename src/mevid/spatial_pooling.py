@@ -77,7 +77,7 @@ def extract_entities_from_arrays(
             f"projection rows {channels}"
         )
     b, t, s, _ = layers[0].shape
-    e, d_q = params["pool.layer0.queries"].shape
+    e = params["pool.layer0.queries"].shape[0]
     out_proj = params["pool.out_proj"]
 
     per_layer, maps = [], []
@@ -86,11 +86,9 @@ def extract_entities_from_arrays(
         x = Tensor(layers[l].reshape(b * t, s, channels), dtype=out_proj.dtype)  # [B*T, S, D]
         k = T.matmul(x, params[pre + "key_proj"], sequences=b)    # [B*T, S, d_q]
         v = T.matmul(x, params[pre + "value_proj"], sequences=b)  # [B*T, S, d_v]
-        scores = T.matmul(params[pre + "queries"], T.swap_last(k),
-                          sequences=b)                            # [B*T, E, S]
-        attn = T.softmax(T.scale(scores, 1.0 / math.sqrt(d_q)), axis=2)
-        per_layer.append(T.matmul(attn, v, high_precision=True))  # [B*T, E, d_v]
-        maps.append(attn.data)
+        mix, attn = T.scaled_dot_attention(params[pre + "queries"], k, v, sequences=b)
+        per_layer.append(mix)                                     # [B*T, E, d_v]
+        maps.append(attn)                                         # [B*T, E, S]
 
     stacked = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=2)
     flat = T.reshape(stacked, (b, t * e, stacked.shape[2]))

@@ -118,17 +118,7 @@ def _attention(x: Tensor, params: dict[str, Parameter], pre: str, heads: int) ->
     q = T.bias_add(T.matmul(x, params[pre + "wq"]), params[pre + "bq"])
     k = T.bias_add(T.matmul(x, params[pre + "wk"]), params[pre + "bk"])
     v = T.bias_add(T.matmul(x, params[pre + "wv"]), params[pre + "bv"])
-    if heads == 1:
-        mixed = T.scaled_dot_attention(q, k, v)
-    else:
-        width = q.shape[2] // heads
-        outs = []
-        for h in range(heads):
-            s = h * width
-            outs.append(T.scaled_dot_attention(
-                T.narrow(q, 2, s, width), T.narrow(k, 2, s, width),
-                T.narrow(v, 2, s, width)))
-        mixed = T.concat(outs, axis=2)
+    mixed, _ = T.scaled_dot_attention(q, k, v, heads)
     return T.bias_add(T.matmul(mixed, params[pre + "wo"]), params[pre + "bo"])
 
 
@@ -163,7 +153,7 @@ def pool_output(outputs: Tensor, num_entities: int, mode: str) -> Tensor:
     if mode == "average":
         mean_w = Tensor(np.full((1, e), 1.0 / e), dtype=outputs.dtype)
         grouped = T.reshape(outputs, (b * t, e, d))
-        return T.reshape(T.matmul(mean_w, grouped, sequences=b), (b, t, d))
+        return T.reshape(T.matmul(mean_w, grouped), (b, t, d))
     raise ValueError(f"pooling must be one of {POOLING_MODES}, got {mode!r}")
 
 

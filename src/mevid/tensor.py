@@ -531,16 +531,32 @@ def normalize_rows(x: Tensor) -> Tensor:
     return record_op(out, (x,), backward)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v for 2-D or batched 3-D inputs."""
-    d_k = k.data.shape[-1]
-    if q.data.shape[-1] != d_k:
-        raise ShapeError(
-            f"query dim {q.data.shape} does not match key dim {k.data.shape}"
-        )
-    scores = scale(matmul(q, swap_last(k)), 1.0 / math.sqrt(d_k))
-    weights = softmax(scores, axis=-1)
-    return matmul(weights, v, high_precision=True)
+def _regroup_heads(x: Tensor, heads: int, merge: bool = False) -> Tensor:
+    """[B, N, h*d] -> [B*h, N, d], head-major per sequence; `merge` undoes
+    it. Gradients leave contiguous, as a slice's zero-padded ones do."""
+    def split(a):
+        a = a.reshape(*a.shape[:2], heads, -1).swapaxes(1, 2)
+        return np.ascontiguousarray(a).reshape(-1, *a.shape[2:])
+
+    def join(a):
+        a = a.reshape(-1, heads, *a.shape[1:]).swapaxes(1, 2)
+        return np.ascontiguousarray(a).reshape(*a.shape[:2], -1)
+
+    forward, backward = (join, split) if merge else (split, join)
+    return record_op(forward(x.data), (x,), lambda g: (backward(g),))
+
+
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
+                         sequences: int | None = None) -> tuple[Tensor, np.ndarray]:
+    """softmax(q k^T / sqrt(d)) v for 2-D or batched 3-D inputs, and the
+    weights off the graph. `sequences` goes to the score product. With
+    `heads` > 1, [B, N, h*d] inputs attend as one [B*h, N, d] stack."""
+    if heads > 1:
+        q, k, v = (_regroup_heads(t, heads) for t in (q, k, v))
+    weights = softmax(scale(matmul(q, swap_last(k), sequences=sequences),
+                            1.0 / math.sqrt(k.shape[-1])), axis=-1)
+    mix = matmul(weights, v, high_precision=True)
+    return (_regroup_heads(mix, heads, merge=True) if heads > 1 else mix), weights.data
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,10 @@ class TestPipelineCommands:
         ("split_Train", "videos[0] ('v0') has split 'Train'"),
         ("no_split", "videos[0] ('v0') has split None"),
         ("top_level_list", "must hold an object with a \"videos\" list"),
-    ], ids=["test_entry_twice", "split_Train", "no_split", "top_level_list"])
+        ("cut_short", "manifest.json is not valid JSON"),
+        ("not_utf8", "manifest.json is not valid JSON"),
+    ], ids=["test_entry_twice", "split_Train", "no_split", "top_level_list", "cut_short",
+            "not_utf8"])
     def test_malformed_manifest_rejected_before_reading_any_mvff(
             self, case, named, tmp_path, capsys, small_config, monkeypatch):
         entries = [{"id": f"v{i}", "file": f"v{i}.mvff", "split": "train" if i < 4 else "test"}
@@ -293,7 +296,8 @@ class TestPipelineCommands:
         manifest = entries if case == "top_level_list" else {"videos": entries}
         data = tmp_path / "data"
         data.mkdir()
-        (data / "manifest.json").write_text(json.dumps(manifest))
+        raw = {"cut_short": b'{"videos": [', "not_utf8": b"\xff\xfe{}"}
+        (data / "manifest.json").write_bytes(raw.get(case, json.dumps(manifest).encode()))
         monkeypatch.setattr("mevid.cli.load_mvff", None)
         for argv in (["eval", str(tmp_path / "none.mvck")],
                      ["train", "--out", str(tmp_path / "m.mvck")]):

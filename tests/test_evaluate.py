@@ -520,3 +520,33 @@ def test_embedding_threads_call_a_one_thread_openblas_and_restore_it(monkeypatch
     finally:
         for (_, set_), count in zip(controls, before):
             set_(count)
+
+
+def test_metrics_do_not_depend_on_the_openblas_thread_count():
+    # unpinned, the progression regression's float64 gram rounds
+    # differently on one and on two OpenBLAS threads
+    controls = ev._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    rng = np.random.default_rng(11)
+    labels = np.repeat(np.arange(4), 4)
+    progression = np.tile(np.linspace(0.0, 1.0, 4), 4)
+
+    def videos(count):
+        # 129 gram columns: a 65-column gram came out the same on either count
+        return [make_video(rng.standard_normal((16, 128)) + labels[:, None], labels,
+                           progression) for _ in range(count)]
+
+    train, test = videos(8), videos(3)
+    before = [get() for get, _ in controls]
+    results = []
+    try:
+        for count in (1, 2):
+            for _, set_ in controls:
+                set_(count)
+            results.append(ev.evaluate_model(train, test, probe_epochs=20, probe_lr=1.0,
+                                             ridge_lambda=1e-4))
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+    assert results[0] == results[1]

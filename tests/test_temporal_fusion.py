@@ -110,6 +110,44 @@ class TestFusion:
         report = grad_check(f, params)
         assert report.passed and report.max_rel_error < 1e-5, report
 
+    @staticmethod
+    def per_head_attention(x, params, pre, heads):
+        """Reference: each head narrowed out of q, k and v, attended on its
+        own, and the heads concatenated back."""
+        q, k, v = (T.bias_add(T.matmul(x, params[pre + "w" + n]), params[pre + "b" + n])
+                   for n in "qkv")
+        width = q.shape[2] // heads
+        outs = [T.scaled_dot_attention(*(T.narrow(t, 2, h * width, width) for t in (q, k, v)))[0]
+                for h in range(heads)]
+        mixed = T.concat(outs, axis=2)
+        return T.bias_add(T.matmul(mixed, params[pre + "wo"]), params[pre + "bo"])
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    def test_stacked_heads_bitwise_equal_to_per_head_loop(self, heads, monkeypatch):
+        config = RunConfig(entities=3, model_dim=32, blocks=2, heads=heads,
+                           mlp_ratio=2).model_config()
+        rng = np.random.default_rng(8)
+        feats = rng.standard_normal((4, 6 * 3, 32)).astype(np.float32)
+        weights = rng.standard_normal((4, 6 * 3, 32)).astype(np.float32)
+
+        def run():
+            params = tf.init_fusion_params(np.random.default_rng(0), config)
+            with T.Tape() as tape:
+                out = tf.fuse_tokens(tf.build_frame_tokens(Tensor(feats), config),
+                                     config, params)
+                loss = T.add(T.sum_all(T.mul(out, Tensor(weights))),
+                             T.sum_all(T.mul(out, out)))
+            tape.backward(loss)
+            return out.data, {name: p.grad for name, p in params.items()}
+
+        got = run()
+        monkeypatch.setattr(tf, "_attention", self.per_head_attention)
+        want = run()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].keys() == want[1].keys()
+        for name in want[1]:
+            assert got[1][name].tobytes() == want[1][name].tobytes(), name
+
 
 class TestPooling:
     def test_single_entity_modes_agree(self):

@@ -165,8 +165,9 @@ class TestAttention:
         q = Tensor(rng.standard_normal((3, 4)))
         k = Tensor(rng.standard_normal((1, 4)))
         v = Tensor(rng.standard_normal((1, 6)))
-        out = T.scaled_dot_attention(q, k, v)
+        out, weights = T.scaled_dot_attention(q, k, v)
         assert np.allclose(out.data, np.tile(v.data, (3, 1)), atol=1e-7)
+        assert np.array_equal(weights, np.ones((3, 1), dtype=np.float32))
 
     def test_identical_values_collapse(self):
         rng = np.random.default_rng(6)
@@ -174,8 +175,13 @@ class TestAttention:
         k = Tensor(rng.standard_normal((5, 4)))
         row = rng.standard_normal((1, 3)).astype(np.float32)
         v = Tensor(np.tile(row, (5, 1)))
-        out = T.scaled_dot_attention(q, k, v)
+        out, _ = T.scaled_dot_attention(q, k, v)
         assert np.allclose(out.data, np.tile(row, (2, 1)), atol=1e-6)
+
+    def test_query_key_width_mismatch_rejected(self):
+        q, k = Tensor(np.ones((2, 4))), Tensor(np.ones((5, 3)))
+        with pytest.raises(ShapeError, match="inner dimensions"):
+            T.scaled_dot_attention(q, k, k)
 
 
 class TestBackward:
@@ -267,8 +273,8 @@ class TestGradCheck:
          "mul", "scale", "bias_add", "concat", "narrow", "take_rows", "reshape",
          "swap_last", "normalize_rows", "attention", "matmul_seq", "matmul_seq_left",
          "matmul_grouped", "matmul_grouped_left", "bias_add_seq", "layer_norm_seq",
-         "take_rows_seq", "normalize_rows_seq", "attention_seq", "sequence_sums",
-         "sum_in_order"],
+         "take_rows_seq", "normalize_rows_seq", "attention_seq", "attention_heads",
+         "attention_query_seq", "sequence_sums", "sum_in_order"],
     )
     def test_every_op_grad(self, name):
         rng = np.random.default_rng(hash(name) % 2 ** 31)
@@ -295,7 +301,7 @@ class TestGradCheck:
             "reshape": lambda p: T.reshape(p["x"], (2, 6)),
             "swap_last": lambda p: T.swap_last(p["x"]),
             "normalize_rows": lambda p: T.normalize_rows(p["x"]),
-            "attention": lambda p: T.scaled_dot_attention(p["x"], p["x"], p["x"]),
+            "attention": lambda p: T.scaled_dot_attention(p["x"], p["x"], p["x"])[0],
             "matmul_seq": lambda p: T.matmul(p["xs"], p["w"]),
             "matmul_seq_left": lambda p: T.matmul(p["w"], T.swap_last(p["xs"])),
             "matmul_grouped": lambda p: T.matmul(T.reshape(p["xs"], (9, 1, 4)), p["w"],
@@ -306,7 +312,12 @@ class TestGradCheck:
             "layer_norm_seq": lambda p: T.layer_norm(p["xs"], p["b"], p["b"]),
             "take_rows_seq": lambda p: T.take_rows(p["xs"], np.array([2, 0, 2])),
             "normalize_rows_seq": lambda p: T.normalize_rows(p["xs"]),
-            "attention_seq": lambda p: T.scaled_dot_attention(p["xs"], p["xs"], p["xs"]),
+            "attention_seq": lambda p: T.scaled_dot_attention(p["xs"], p["xs"], p["xs"])[0],
+            "attention_heads": lambda p: T.scaled_dot_attention(
+                p["xs"], T.gelu(p["xs"]), p["xs"], heads=2)[0],
+            # one query set over all three slices, taken as one sequence
+            "attention_query_seq": lambda p: T.scaled_dot_attention(
+                p["x"], p["xs"], T.gelu(p["xs"]), sequences=1)[0],
             "sequence_sums": lambda p: T.sequence_sums(T.mul(p["xs"], p["xs"])),
             "sum_in_order": lambda p: T.sum_in_order(T.mul(p["b"], p["b"])),
         }
