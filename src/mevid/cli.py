@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -19,7 +18,7 @@ import sys
 from collections import Counter
 
 from . import pipeline
-from .config import ConfigError, RunConfig, _validate, load_config, render_config
+from .config import ConfigError, RunConfig, load_config, render_config
 from .features import (atomic_open, generate_synthetic_dataset, load_mvff, select_layers,
                        write_mvff)
 from .model import save_checkpoint
@@ -43,13 +42,11 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a synthetic MVFF dataset")
     gen.add_argument("--config", required=True)
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--seed", type=int, default=None, help="override data_seed")
 
     tr = sub.add_parser("train", help="train on an MVFF dataset directory")
     tr.add_argument("--config", required=True)
     tr.add_argument("--data", required=True)
     tr.add_argument("--out", required=True, help="checkpoint path")
-    tr.add_argument("--seed", type=int, default=None, help="override training seed")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint; JSON on stdout")
     ev.add_argument("checkpoint")
@@ -68,12 +65,6 @@ def _build_parser() -> _Parser:
     tl.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 1,2,3")
     tl.add_argument("--out", default=None, help="optional JSON report path")
     return parser
-
-
-def _echo_config(config: RunConfig) -> None:
-    sys.stderr.write("# resolved config\n")
-    sys.stderr.write(render_config(config))
-    sys.stderr.flush()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -135,9 +126,6 @@ def _require_eval_split(splits, source: str) -> None:
 
 
 def _cmd_gen(args, config: RunConfig) -> int:
-    if args.seed is not None:
-        config = _validate(dataclasses.replace(config, data_seed=args.seed))
-    _echo_config(config)
     os.makedirs(args.out, exist_ok=True)
     videos = generate_synthetic_dataset(config.synthetic_spec())
     split_of = pipeline.split_video_ids(
@@ -156,9 +144,6 @@ def _cmd_gen(args, config: RunConfig) -> int:
 
 
 def _cmd_train(args, config: RunConfig) -> int:
-    if args.seed is not None:
-        config = _validate(dataclasses.replace(config, seed=args.seed))
-    _echo_config(config)
     videos, split_of = _load_entries(args.data, _read_manifest(args.data), config)
     train_videos = [v for v in videos if split_of[v.video_id] == "train"]
     if not train_videos:
@@ -176,7 +161,6 @@ def _cmd_train(args, config: RunConfig) -> int:
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
-    _echo_config(config)
     entries = _read_manifest(args.data)
     _require_eval_split((e["split"] for e in entries), f"{args.data} lists")
     videos, split_of = _load_entries(args.data, entries, config)
@@ -196,7 +180,6 @@ def _cmd_eval(args, config: RunConfig) -> int:
 
 
 def _cmd_attn(args, config: RunConfig) -> int:
-    _echo_config(config)
     if config.arch != "entity":
         raise UsageError(f"attn exports entity attention and needs arch = entity, "
                          f"got arch = {config.arch}")
@@ -224,7 +207,6 @@ def _cmd_attn(args, config: RunConfig) -> int:
 
 
 def _cmd_trials(args, config: RunConfig) -> int:
-    _echo_config(config)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
@@ -259,6 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
+        sys.stderr.write("# resolved config\n" + render_config(config))
+        sys.stderr.flush()
         return _COMMANDS[args.command](args, config)
     except (UsageError, ConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")

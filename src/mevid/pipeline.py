@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .evaluate import embed_dataset, evaluate_model
+from .evaluate import _one_blas_thread, embed_dataset, evaluate_model
 from .features import VideoFeatures, generate_synthetic_dataset, select_layers
 from .model import Model, load_checkpoint_bytes, save_checkpoint_bytes
 from .training import TrainResult, train
@@ -67,11 +67,15 @@ def _keep_heap_resident() -> None:
 
 def train_model(config: RunConfig, videos: list[VideoFeatures],
                 split_of: dict[str, str], seed: int | None = None) -> TrainResult:
+    """Train on the train split with OpenBLAS on one thread: the step's
+    products are too small to gain from more, and concurrent trainings
+    over a multithreaded OpenBLAS oversubscribe the CPUs."""
     _keep_heap_resident()
     if seed is not None:
         config = replace(config, seed=seed)
     train_videos = [v for v in videos if split_of[v.video_id] == "train"]
-    return train(train_videos, config.model_config(), config.train_config())
+    with _one_blas_thread():
+        return train(train_videos, config.model_config(), config.train_config())
 
 
 def evaluate_trained(config: RunConfig, model: Model, videos: list[VideoFeatures],

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
+from .features import atomic_open
 from .tensor import Parameter, Tensor
 
 if TYPE_CHECKING:
@@ -113,6 +114,5 @@ def export_attention(values: np.ndarray, path) -> None:
     else:
         pixels = np.round((v - lo) / (hi - lo) * 255.0).astype(np.uint8)
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())
+    with atomic_open(path) as fh:
+        fh.write(header + pixels.tobytes())

@@ -15,8 +15,8 @@ which a tape holding one op per sequence accumulates them. A batched
 forward therefore has the same gradients, bit for bit, as its sequences
 recorded one after another on one tape.
 
-Tensors are immutable after creation except for gradient accumulation
-and the optimizer's in-place update of a Parameter's data.
+Tensors are immutable after creation except for a Parameter: its
+gradient accumulates in place, and the optimizer updates its data.
 A Tape and the tensors recorded on it belong to a single thread: the
 active tape is one process-wide slot.
 """
@@ -42,20 +42,15 @@ class GraphError(RuntimeError):
 
 
 class Tensor:
-    """N-dimensional float array, optionally tracked for gradients.
+    """N-dimensional float array. `data` is row-major and never mutated by
+    operations. `requires_grad` is False for a constant and, for an op
+    output, whether any input is tracked."""
 
-    `data` is row-major and never mutated by operations. `grad` is
-    allocated only for leaf tensors created with `requires_grad=True`
-    and is filled by `Tape.backward`.
-    """
+    __slots__ = ("data", "requires_grad")
 
-    __slots__ = ("data", "requires_grad", "grad", "_from_op")
-
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
+    def __init__(self, data, dtype=np.float32):
         self.data = np.asarray(data, dtype=dtype)
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._from_op = False
+        self.requires_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -72,23 +67,24 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self) -> str:
-        tag = "param" if (self.requires_grad and not self._from_op) else "tensor"
+        tag = "param" if isinstance(self, Parameter) else "tensor"
         return f"<{tag} shape={self.shape} dtype={self.data.dtype}>"
 
 
 class Parameter(Tensor):
-    """Named leaf tensor; always tracked."""
+    """Named tracked leaf; `Tape.backward` adds its gradient into `grad`."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "grad")
 
     def __init__(self, name: str, data, dtype=np.float32):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+        super().__init__(data, dtype=dtype)
+        self.requires_grad = True
+        self.grad = np.zeros_like(self.data)
         self.name = name
+
+    def zero_grad(self) -> None:
+        self.grad[...] = 0.0
 
 
 _active_tape: "Tape | None" = None
@@ -99,7 +95,7 @@ class Tape:
 
     Entering the tape makes it the active recorder until it exits.
     `backward` walks the record once, in reverse execution
-    order, accumulating gradients into tracked leaf tensors.
+    order, accumulating gradients into Parameters.
     """
 
     def __init__(self):
@@ -134,18 +130,14 @@ class Tape:
             for tensor, contribution in zip(inputs, backward_fn(g)):
                 if contribution is None:
                     continue
-                if tensor._from_op:
+                if isinstance(tensor, Parameter):
+                    tensor.grad += contribution
+                elif tensor.requires_grad:
                     key = id(tensor)
                     if key in grads:
                         grads[key] = grads[key] + contribution
                     else:
                         grads[key] = contribution
-                elif tensor.requires_grad:
-                    tensor.grad += contribution
-
-
-def _needs_grad(inputs: Sequence[Tensor]) -> bool:
-    return any(t.requires_grad for t in inputs)
 
 
 def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
@@ -156,13 +148,9 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
     """
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._from_op = False
-    out.requires_grad = _needs_grad(inputs)
-    if out.requires_grad:
-        out._from_op = True
-        if _active_tape is not None:
-            _active_tape._ops.append((out, tuple(inputs), backward_fn))
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    if out.requires_grad and _active_tape is not None:
+        _active_tape._ops.append((out, tuple(inputs), backward_fn))
     return out
 
 

@@ -216,6 +216,10 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
                 raise TrainingDiverged(f"non-finite loss {value} at step {len(trace)}")
             model.zero_grads()
             tape.backward(loss)
+            bad = next((name for name, p in params.items()
+                        if not np.isfinite(p.grad).all()), None)
+            if bad is not None:
+                raise TrainingDiverged(f"non-finite gradient of {bad} at step {len(trace)}")
             adam_step(params, state, config)
             trace.append(value)
     return TrainResult(model=model, loss_trace=trace)

@@ -374,18 +374,17 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
         assert line.split(" = ")[0] in capsys.readouterr().err
 
-    def test_negative_seed_override_exit_one(self, tmp_path, small_config, capsys):
-        data = tmp_path / "data"
-        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
-        capsys.readouterr()
-        assert main(["train", "--config", small_config, "--data", str(data),
-                     "--out", str(tmp_path / "m.mvck"), "--seed", "-5"]) == 1
-        assert "seed" in capsys.readouterr().err
-        assert main(["gen", "--config", small_config, "--out", str(tmp_path / "d"),
-                     "--seed", "-2"]) == 1
-        assert "data_seed" in capsys.readouterr().err
+    def test_negative_seed_override_exit_one(self, small_config, capsys):
+        # a negative seed or data_seed in a config file: test_bad_value_exit_one
         assert main(["trials", "--config", small_config, "--seeds=-1,2"]) == 1
         assert "--seeds" in capsys.readouterr().err
+
+    def test_seeds_are_set_only_in_the_config_file(self, tmp_path, small_config, capsys):
+        for args in (["gen", "--out", str(tmp_path / "d")],
+                     ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m")]):
+            assert main([*args, "--config", small_config, "--seed", "3"]) == 1
+            assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         assert main(["gen", "--config", str(tmp_path / "none.cfg"),

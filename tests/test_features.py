@@ -27,6 +27,7 @@ from mevid.features import (
     write_mvff,
 )
 from mevid.model import Model, load_checkpoint_bytes, save_checkpoint, save_checkpoint_bytes
+from mevid.spatial_pooling import export_attention
 
 SMALL = SyntheticSpec(videos=3, frames=16, grid=4, channels=8, phases=3, layers=2,
                       patch=2, noise=0.1, data_seed=7)
@@ -321,9 +322,12 @@ class TestAtomicWrites:
         # ten entries, about 900 bytes, so every `room` fails mid-file
         manifests = [[{"id": f"vid{j:04d}", "file": f"vid{j:04d}.mvff", "split": "train"}
                       for j in range(i, i + 10)] for i in range(2)]
+        maps = [np.random.default_rng(i).random((32, 32)) for i in range(2)]
         writers = {"v.mvff": lambda path, i: write_mvff(videos[i], path),
                    "m.mvck": lambda path, i: save_checkpoint(models[i], path),
-                   "manifest.json": lambda path, i: _write_manifest(path.parent, manifests[i])}
+                   "manifest.json": lambda path, i: _write_manifest(path.parent, manifests[i]),
+                   # 1,037 bytes, so every `room` fails mid-file too
+                   "a.pgm": lambda path, i: export_attention(maps[i], path)}
         for name, write in writers.items():
             folder = tmp_path / name.replace(".", "_")
             folder.mkdir()

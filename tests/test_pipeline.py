@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mevid import evaluate as ev
 from mevid import pipeline
 from mevid.config import RunConfig
 from mevid.model import Model, save_checkpoint_bytes
@@ -26,6 +27,30 @@ def test_training_heap_stays_resident():
     pipeline.train_model(config, videos, split_of)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 1000, f"{faults} minor page faults in 10 steps"
+
+
+def test_training_calls_a_one_thread_openblas_and_restores_it(monkeypatch):
+    controls = ev._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for get, _ in controls]
+    config = RunConfig(videos=4, max_steps=1)
+    videos, split_of = pipeline.dataset_from_config(config)
+    seen = []
+
+    def spy(*args):
+        seen.append([get() for get, _ in controls])
+
+    monkeypatch.setattr(pipeline, "train", spy)
+    try:
+        for _, set_ in controls:
+            set_(2)
+        pipeline.train_model(config, videos, split_of)
+        assert seen == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
 
 
 class _NoMallopt:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -216,12 +218,13 @@ class TestBackward:
             tape.backward(loss)
 
     def test_untracked_inputs_untouched(self):
-        x = Tensor([1.0, 2.0])  # requires_grad False
+        x = Tensor([1.0, 2.0])
         w = Parameter("w", [2.0, 2.0])
         with Tape() as tape:
             loss = T.sum_all(T.mul(x, w))
         tape.backward(loss)
-        assert x.grad is None
+        assert not x.requires_grad and not hasattr(x, "grad")
+        assert np.array_equal(w.grad, [1.0, 2.0])
 
     def test_matmul_grads_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -277,7 +280,7 @@ class TestGradCheck:
          "attention_query_seq", "sequence_sums", "sum_in_order"],
     )
     def test_every_op_grad(self, name):
-        rng = np.random.default_rng(hash(name) % 2 ** 31)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         x = Parameter("x", rng.uniform(-1, 1, (3, 4)))
         w = Parameter("w", rng.uniform(-1, 1, (4, 4)))
         b = Parameter("b", rng.uniform(-1, 1, 4))

@@ -242,6 +242,35 @@ class TestTrainLoop:
         with pytest.raises(tr.TrainingDiverged, match="step 0"):
             tr.train(data, MODEL, small_train_config())
 
+    def test_non_finite_gradient_aborts_naming_the_first_parameter(self, monkeypatch):
+        data = generate_synthetic_dataset(SPEC)
+        seen = {}
+        zero_grads, backward = Model.zero_grads, Tape.backward
+
+        def remember(model):
+            seen["params"] = model.params
+            seen["before"] = {n: p.data.copy() for n, p in model.params.items()}
+            zero_grads(model)
+
+        def poisoned(tape, loss):
+            backward(tape, loss)
+            names = list(seen["params"])
+            seen["params"][names[9]].grad.flat[0] = np.nan
+            seen["params"][names[3]].grad.flat[-1] = np.inf
+            seen["name"] = names[3]
+
+        def adam(*args):
+            raise AssertionError("Adam ran on a non-finite gradient")
+
+        monkeypatch.setattr(Model, "zero_grads", remember)
+        monkeypatch.setattr(Tape, "backward", poisoned)
+        monkeypatch.setattr(tr, "adam_step", adam)
+        with pytest.raises(tr.TrainingDiverged) as info:
+            tr.train(data, MODEL, small_train_config())
+        assert str(info.value) == f"non-finite gradient of {seen['name']} at step 0"
+        for name, p in seen["params"].items():
+            assert np.array_equal(p.data, seen["before"][name]), name
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             tr.train([], MODEL, small_train_config())
