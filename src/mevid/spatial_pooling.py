@@ -22,6 +22,12 @@ from .tensor import Parameter, Tensor
 if TYPE_CHECKING:
     from .model import ModelConfig
 
+# Pooling scores are q k^T * POOL_SCORE_SCALE / sqrt(d_q). Sharper than a
+# transformer's 1 / sqrt(d_q), so that each query settles on one region
+# of the frame; at 1 / sqrt(d_q), whether an entity found the actor
+# depended on the rounding of the training run.
+POOL_SCORE_SCALE = 4.0
+
 
 def init_pooling_params(rng: np.random.Generator,
                         config: ModelConfig) -> dict[str, Parameter]:
@@ -78,18 +84,21 @@ def extract_entities_from_arrays(
             f"projection rows {channels}"
         )
     b, t, s, _ = layers[0].shape
-    e = params["pool.layer0.queries"].shape[0]
+    e, query_dim = params["pool.layer0.queries"].shape
     out_proj = params["pool.out_proj"]
 
+    score_scale = POOL_SCORE_SCALE / math.sqrt(query_dim)
     per_layer, maps = [], []
     for l in range(num_layers):
         pre = f"pool.layer{l}."
         x = Tensor(layers[l].reshape(b * t, s, channels), dtype=out_proj.dtype)  # [B*T, S, D]
-        k = T.matmul(x, params[pre + "key_proj"], sequences=b)    # [B*T, S, d_q]
-        v = T.matmul(x, params[pre + "value_proj"], sequences=b)  # [B*T, S, d_v]
-        mix, attn = T.scaled_dot_attention(params[pre + "queries"], k, v, sequences=b)
-        per_layer.append(mix)                                     # [B*T, E, d_v]
-        maps.append(attn)                                         # [B*T, E, S]
+        # q k^T = (q W_k^T) x^T and weights v = (weights x) W_v: the
+        # projections act on E queries and mixes, never on the S tokens
+        query_keys = T.matmul(params[pre + "queries"],
+                              T.swap_last(params[pre + "key_proj"]))  # [E, D]
+        mixed, attn = T.scaled_dot_attention(query_keys, x, x, score_scale=score_scale)
+        per_layer.append(T.matmul(mixed, params[pre + "value_proj"]))  # [B*T, E, d_v]
+        maps.append(attn)                                               # [B*T, E, S]
 
     stacked = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=2)
     flat = T.reshape(stacked, (b, t * e, stacked.shape[2]))

@@ -7,13 +7,13 @@ elementwise helpers. Storage is float32; `grad_check` re-runs a graph in
 float64, where central finite differences are meaningful.
 
 Sequence axis: a 3-D operand of `matmul`, `bias_add` or `layer_norm`
-stacks independent sequences along its leading axis. An operand broadcast
-over them (a weight, bias or affine) gets its gradient per sequence,
-exactly as the op would on that sequence alone, and the per-sequence
-partials are added from the last sequence to the first: the order in
-which a tape holding one op per sequence accumulates them. A batched
-forward therefore has the same gradients, bit for bit, as its sequences
-recorded one after another on one tape.
+stacks independent sequences along its leading axis. A 3-D activation
+times a 2-D weight runs as one [B*N, k] product, forward and backward, so
+it agrees with one op per sequence to float32 rounding, not bit for bit.
+A bias or layer-norm affine broadcast over the sequences, and a 2-D
+matrix on the left of a 3-D operand, get their gradient per sequence,
+added from the last sequence to the first as a tape of one op per
+sequence would add them.
 
 Tensors are immutable after creation except for a Parameter: its
 gradient accumulates in place, and the optimizer updates its data.
@@ -31,6 +31,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+SOFTMAX_FLOOR = 1e-20  # softmax probabilities below this are flushed to 0
 
 
 class ShapeError(ValueError):
@@ -165,16 +166,10 @@ def _same_dtype(*tensors: Tensor) -> None:
 # linear algebra
 
 
-def _sum_sequences(partials: np.ndarray, sequences: int | None = None) -> np.ndarray:
-    """Reduce per-slice gradient partials [N, ...] to one gradient.
-
-    The N slices form `sequences` runs of equal length (default: one
-    sequence per slice). Each run is summed first to last, as one op over
-    that sequence sums its slices; the run totals are then added from the
-    last sequence to the first, as a tape of one op per sequence would.
-    """
-    if sequences is not None and sequences != len(partials):
-        partials = partials.reshape(sequences, -1, *partials.shape[1:]).sum(axis=1)
+def _sum_sequences(partials: np.ndarray) -> np.ndarray:
+    """Reduce per-sequence gradient partials [B, ...] to one gradient,
+    adding them from the last sequence to the first, as a tape of one op
+    per sequence would."""
     total = partials[-1].copy()
     for part in partials[-2::-1]:
         total += part
@@ -189,15 +184,14 @@ def _vector_grad(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
-def matmul(a: Tensor, b: Tensor, high_precision: bool = False,
-           sequences: int | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
     """Matrix product; supports 2-D, batched 3-D, and 2-D/3-D mixes.
 
     With `high_precision` the contraction runs in float64 and rounds back,
     which keeps attention mixes stable under reorderings of the summed axis.
-    A 2-D operand broadcast over a 3-D one has its gradient reduced by
-    `_sum_sequences`; `sequences` says how many sequences the 3-D
-    operand's leading axis holds (default: one per slice).
+    A 3-D activation times a 2-D weight is one [B*N, k] gemm, and so are
+    its input and weight gradients. A 2-D matrix on the left of a 3-D
+    operand has its gradient reduced by `_sum_sequences`.
     """
     _same_dtype(a, b)
     ashape, bshape = a.data.shape, b.data.shape
@@ -207,29 +201,30 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False,
         raise ShapeError(f"matmul inner dimensions disagree: {ashape} x {bshape}")
     if a.ndim == 3 and b.ndim == 3 and ashape[0] != bshape[0]:
         raise ShapeError(f"matmul batch dimensions disagree: {ashape} x {bshape}")
-    if sequences is not None:
-        stacked = max(ashape[0] if a.ndim == 3 else 0, bshape[0] if b.ndim == 3 else 0)
-        if sequences < 1 or stacked % sequences:
-            raise ShapeError(
-                f"{sequences} sequences do not divide the stacked axis of {ashape} x {bshape}")
 
-    if high_precision and a.data.dtype == np.float32:
-        data = (a.data.astype(np.float64) @ b.data.astype(np.float64)).astype(np.float32)
-    else:
-        data = a.data @ b.data
-
+    rows_merged = a.ndim == 3 and b.ndim == 2
     a_arr, b_arr = a.data, b.data
+    if rows_merged:
+        a_arr = a_arr.reshape(-1, ashape[-1])
+    if high_precision and a_arr.dtype == np.float32:
+        data = (a_arr.astype(np.float64) @ b_arr.astype(np.float64)).astype(np.float32)
+    else:
+        data = a_arr @ b_arr
+    if rows_merged:
+        data = data.reshape(*ashape[:-1], bshape[-1])
 
     def backward(g):
+        if rows_merged:
+            g = g.reshape(-1, bshape[-1])
         da = db = None
         if a.requires_grad:
             da = g @ np.swapaxes(b_arr, -1, -2)
-            if da.ndim > a_arr.ndim:
-                da = _sum_sequences(da, sequences)
+            if rows_merged:
+                da = da.reshape(ashape)
+            elif da.ndim > a_arr.ndim:
+                da = _sum_sequences(da)
         if b.requires_grad:
             db = np.swapaxes(a_arr, -1, -2) @ g
-            if db.ndim > b_arr.ndim:
-                db = _sum_sequences(db, sequences)
         return da, db
 
     return record_op(data, (a, b), backward)
@@ -433,10 +428,16 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
-    """Max-stabilized softmax along `axis`; rows are positive and sum to 1.
+    """Max-stabilized softmax along `axis`; rows are nonnegative and sum to 1.
 
     The exponentials are accumulated in float64 so that permuting entries
-    along the reduced axis cannot perturb the normalizer.
+    along the reduced axis cannot perturb the normalizer. Probabilities
+    below `SOFTMAX_FLOOR` become exactly 0: every row holds a weight of at
+    least 1/N, so one that small cannot move an output at float32
+    resolution, while the backward products w*g of such weights fall into
+    float32's subnormal range, where arithmetic is slow. A floor at the
+    smallest normal float32 would not do: products of small normal weights
+    still underflow.
     """
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.data.shape}")
@@ -444,6 +445,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=axis, keepdims=True)
+    p[p < SOFTMAX_FLOOR] = 0.0
     out = p.astype(x.data.dtype)
 
     def backward(g):
@@ -535,14 +537,21 @@ def _regroup_heads(x: Tensor, heads: int, merge: bool = False) -> Tensor:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
-                         sequences: int | None = None) -> tuple[Tensor, np.ndarray]:
-    """softmax(q k^T / sqrt(d)) v for 2-D or batched 3-D inputs, and the
-    weights off the graph. `sequences` goes to the score product. With
-    `heads` > 1, [B, N, h*d] inputs attend as one [B*h, N, d] stack."""
+                         score_scale: float | None = None) -> tuple[Tensor, np.ndarray]:
+    """softmax(s q k^T) v for 2-D or batched 3-D inputs, and the weights
+    off the graph; s is `score_scale`, by default 1/sqrt(d). A 2-D q is one
+    query set shared by every sequence of a 3-D k, scored by one [B*N, d]
+    gemm. With `heads` > 1, [B, N, h*d] inputs attend as one [B*h, N, d]
+    stack."""
     if heads > 1:
         q, k, v = (_regroup_heads(t, heads) for t in (q, k, v))
-    weights = softmax(scale(matmul(q, swap_last(k), sequences=sequences),
-                            1.0 / math.sqrt(k.shape[-1])), axis=-1)
+    if q.ndim == 2 and k.ndim == 3:
+        scores = swap_last(matmul(k, swap_last(q)))
+    else:
+        scores = matmul(q, swap_last(k))
+    if score_scale is None:
+        score_scale = 1.0 / math.sqrt(k.shape[-1])
+    weights = softmax(scale(scores, score_scale), axis=-1)
     mix = matmul(weights, v, high_precision=True)
     return (_regroup_heads(mix, heads, merge=True) if heads > 1 else mix), weights.data
 

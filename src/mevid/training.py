@@ -231,8 +231,8 @@ def _step_loss(model: Model, batch: list[VideoFeatures], seeds: list[int],
 
     Views are stacked video by video (video 0 view 1, video 0 view 2,
     video 1 view 1, ...), the order in which one-view-at-a-time forwards
-    would be recorded, so every float of the step equals that of such a
-    run (see the sequence axis in `tensor`).
+    would be recorded; the step agrees with such a run to float32
+    rounding (see the sequence axis in `tensor`).
     """
     views = [sample_two_views(video, config.view_len, seed)
              for video, seed in zip(batch, seeds)]

@@ -1,13 +1,15 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from mevid import spatial_pooling as sp
+from mevid import tensor as T
 from mevid.config import RunConfig
 from mevid.features import VideoFeatures
 from mevid.model import Model
-from mevid.tensor import grad_check
+from mevid.tensor import Tape, Tensor, grad_check
 
 
 def make_features(rng, t=3, s=16, d=8, layers=2):
@@ -149,6 +151,58 @@ class TestExtractEntities:
 
         report = grad_check(f, params)
         assert report.passed and report.max_rel_error < 1e-5, report
+
+
+def keys_first_entities(layers, params):
+    """The pooling before reassociation: k = x W_k and v = x W_v over every
+    token, then softmax(q k^T s) v at the same scale s."""
+    b, t, s, d = layers[0].shape
+    queries = params["pool.layer0.queries"]
+    score_scale = sp.POOL_SCORE_SCALE / math.sqrt(queries.shape[1])
+    per_layer, maps = [], []
+    for l, layer in enumerate(layers):
+        pre = f"pool.layer{l}."
+        x = Tensor(layer.reshape(b * t, s, d))
+        k = T.matmul(x, params[pre + "key_proj"])
+        v = T.matmul(x, params[pre + "value_proj"])
+        scores = T.matmul(params[pre + "queries"], T.swap_last(k))
+        weights = T.softmax(T.scale(scores, score_scale), axis=-1)
+        per_layer.append(T.matmul(weights, v, high_precision=True))
+        maps.append(weights.data)
+    stacked = T.concat(per_layer, axis=2)
+    flat = T.reshape(stacked, (b, -1, stacked.shape[2]))
+    return T.matmul(flat, params["pool.out_proj"]), maps
+
+
+class TestReassociatedPooling:
+    def test_matches_keys_first_formula(self):
+        # the default pooling shapes: 3 layers of 8x8 tokens, 32 channels,
+        # E = 3, d_q = d_v = 64; two sequences of four frames
+        rng = np.random.default_rng(21)
+        config = RunConfig().model_config()
+        params = sp.init_pooling_params(rng, config)
+        layers = [rng.standard_normal((2, 4, 64, 32)).astype(np.float32) for _ in range(3)]
+        up = rng.standard_normal((2, 4 * 3, config.model_dim)).astype(np.float32)
+
+        def run(extract):
+            for p in params.values():
+                p.zero_grad()
+            with Tape() as tape:
+                tokens, maps = extract(layers, params)
+                loss = T.sum_all(T.mul(tokens, Tensor(up)))
+            tape.backward(loss)
+            return tokens.data, maps, {n: p.grad.copy() for n, p in params.items()}
+
+        tokens, maps, grads = run(sp.extract_entities_from_arrays)
+        ref_tokens, ref_maps, ref_grads = run(keys_first_entities)
+        assert np.abs(tokens - ref_tokens).max() <= 1e-5 * np.abs(ref_tokens).max()
+        for att, ref in zip(maps, ref_maps, strict=True):
+            assert att.shape == ref.shape
+            assert np.abs(att - ref).max() <= 1e-6
+        largest = max(float(np.abs(g).max()) for g in ref_grads.values())
+        assert list(grads) == list(ref_grads)
+        gaps = {n: float(np.abs(grads[n] - ref_grads[n]).max()) for n in grads}
+        assert max(gaps.values()) <= 1e-5 * largest, gaps
 
 
 class TestAttentionExport:

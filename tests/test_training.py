@@ -334,10 +334,14 @@ class TestBatchedStep:
         with Tape() as tape:
             loss = step_loss(model, batch, seeds, config)
         tape.backward(loss)
-        return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in model.params.items()}
+        return loss.item(), {n: p.grad.copy() for n, p in model.params.items()}
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_bitwise_equal_to_one_sequence_at_a_time(self, case):
+    def test_matches_one_sequence_at_a_time(self, case):
+        # a batched linear is one row-merged gemm, so the step agrees with
+        # one-sequence forwards to float32 rounding, not bit for bit; the
+        # gradient gap is measured against the step's largest gradient, as
+        # grad_check measures it
         over, picked = self.CASES[case]
         run = RunConfig(**over)
         videos, split_of = dataset_from_config(run)
@@ -351,10 +355,11 @@ class TestBatchedStep:
         loss, grads = self._loss_and_grads(model, tr._step_loss, batch, seeds, config)
         ref_loss, ref_grads = self._loss_and_grads(
             model, reference_step_loss, batch, seeds, config)
-        assert loss == ref_loss
+        assert abs(loss - ref_loss) <= 1e-6 * abs(ref_loss), (loss, ref_loss)
         assert list(grads) == list(ref_grads)
-        differing = [name for name in grads if grads[name] != ref_grads[name]]
-        assert not differing, differing
+        largest = max(float(np.abs(g).max()) for g in ref_grads.values())
+        gaps = {name: float(np.abs(grads[name] - ref_grads[name]).max()) for name in grads}
+        assert max(gaps.values()) <= 1e-5 * largest, gaps
 
 
 class TestTrialAggregation:
