@@ -8,12 +8,10 @@ float64, where central finite differences are meaningful.
 
 Sequence axis: a 3-D operand of `matmul`, `bias_add` or `layer_norm`
 stacks independent sequences along its leading axis. A 3-D activation
-times a 2-D weight runs as one [B*N, k] product, forward and backward, so
-it agrees with one op per sequence to float32 rounding, not bit for bit.
-A bias or layer-norm affine broadcast over the sequences, and a 2-D
-matrix on the left of a 3-D operand, get their gradient per sequence,
-added from the last sequence to the first as a tape of one op per
-sequence would add them.
+times a 2-D weight runs as one [B*N, k] product, forward and backward,
+and an operand broadcast over the sequences gets its gradient as one
+reduction over them. Results agree with one op per sequence to float32
+rounding, not bit for bit.
 
 Tensors are immutable after creation except for a Parameter: its
 gradient accumulates in place, and the optimizer updates its data.
@@ -166,22 +164,9 @@ def _same_dtype(*tensors: Tensor) -> None:
 # linear algebra
 
 
-def _sum_sequences(partials: np.ndarray) -> np.ndarray:
-    """Reduce per-sequence gradient partials [B, ...] to one gradient,
-    adding them from the last sequence to the first, as a tape of one op
-    per sequence would."""
-    total = partials[-1].copy()
-    for part in partials[-2::-1]:
-        total += part
-    return total
-
-
 def _vector_grad(g: np.ndarray) -> np.ndarray:
-    """Gradient of a vector added along the trailing axis of g: rows are
-    summed, per sequence when g is 3-D."""
-    if g.ndim == 3:
-        return _sum_sequences(g.sum(axis=1))
-    return g.sum(axis=tuple(range(g.ndim - 1)))
+    """Gradient of a vector added along the trailing axis of g."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
@@ -190,8 +175,7 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
     With `high_precision` the contraction runs in float64 and rounds back,
     which keeps attention mixes stable under reorderings of the summed axis.
     A 3-D activation times a 2-D weight is one [B*N, k] gemm, and so are
-    its input and weight gradients. A 2-D matrix on the left of a 3-D
-    operand has its gradient reduced by `_sum_sequences`.
+    its input and weight gradients.
     """
     _same_dtype(a, b)
     ashape, bshape = a.data.shape, b.data.shape
@@ -222,7 +206,7 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
             if rows_merged:
                 da = da.reshape(ashape)
             elif da.ndim > a_arr.ndim:
-                da = _sum_sequences(da)
+                da = da.sum(axis=0)
         if b.requires_grad:
             db = np.swapaxes(a_arr, -1, -2) @ g
         return da, db
@@ -381,34 +365,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full(xshape, g, dtype=g.dtype),)
 
     return record_op(data, (x,), backward)
-
-
-def sequence_sums(x: Tensor) -> Tensor:
-    """`sum_all` of each sequence: [B, ...] -> [B]."""
-    if x.ndim < 2:
-        raise ShapeError(f"sequence_sums needs a leading sequence axis, got {x.data.shape}")
-    data = np.array([part.sum(dtype=np.float64) for part in x.data], dtype=x.data.dtype)
-    xshape = x.data.shape
-
-    def backward(g):
-        per_sequence = g.reshape(g.shape + (1,) * (len(xshape) - 1))
-        return (np.broadcast_to(per_sequence, xshape).copy(),)
-
-    return record_op(data, (x,), backward)
-
-
-def sum_in_order(x: Tensor) -> Tensor:
-    """Sum of a vector, first entry to last, rounding after every add (as
-    a chain of `add` calls does)."""
-    if x.ndim != 1 or x.data.shape[0] == 0:
-        raise ShapeError(f"sum_in_order needs a non-empty vector, got {x.data.shape}")
-    data = np.add.accumulate(x.data)[-1]
-    size = x.data.shape[0]
-
-    def backward(g):
-        return (np.full(size, g, dtype=g.dtype),)
-
-    return record_op(np.asarray(data), (x,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:

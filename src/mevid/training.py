@@ -82,24 +82,26 @@ def sample_two_views(video: VideoFeatures, view_len: int,
 
 def gaussian_targets(t_anchor: np.ndarray, t_other: np.ndarray, sigma: float,
                      dtype=np.float32) -> np.ndarray:
-    """Row-normalized Gaussian affinity over timestamp differences."""
-    delta = np.asarray(t_anchor, dtype=np.float64)[:, None] - np.asarray(
-        t_other, dtype=np.float64)[None, :]
+    """Row-normalized Gaussian affinity over timestamp differences:
+    [..., N1] and [..., N2] timestamps give [..., N1, N2] targets."""
+    t_anchor = np.asarray(t_anchor, dtype=np.float64)
+    t_other = np.asarray(t_other, dtype=np.float64)
+    delta = t_anchor[..., :, None] - t_other[..., None, :]
     # floored so absurdly distant timestamps cannot underflow to exact zero
     w = np.maximum(np.exp(-(delta ** 2) / (2.0 * sigma ** 2)), 1e-300)
-    return (w / w.sum(axis=1, keepdims=True)).astype(dtype)
+    return (w / w.sum(axis=-1, keepdims=True)).astype(dtype)
 
 
 def _directed_kl(z_anchor: Tensor, z_other: Tensor, targets: np.ndarray,
                  temperature: float) -> Tensor:
-    """Per-video KL [B] from `targets` [B, N1, N2] to the predictions."""
+    """KL from `targets` [B, N1, N2] to the predictions, summed over the
+    batch and divided by N1."""
     cos = T.matmul(T.normalize_rows(z_anchor), T.swap_last(T.normalize_rows(z_other)))
     log_pred = T.log_softmax(T.scale(cos, 1.0 / temperature), axis=2)
     g = np.maximum(targets.astype(np.float64), 1e-45)  # log-safe after f32 cast
-    entropy_terms = [float((g_v * np.log(g_v)).sum()) for g_v in g]
-    cross = T.sequence_sums(T.mul(Tensor(targets, dtype=z_anchor.dtype), log_pred))
-    gap = T.sub(Tensor(entropy_terms, dtype=z_anchor.dtype), cross)
-    return T.scale(gap, 1.0 / targets.shape[1])
+    entropy = Tensor((g * np.log(g)).sum(), dtype=z_anchor.dtype)
+    cross = T.sum_all(T.mul(Tensor(targets, dtype=z_anchor.dtype), log_pred))
+    return T.scale(T.sub(entropy, cross), 1.0 / targets.shape[1])
 
 
 def sequence_contrastive_loss(
@@ -114,20 +116,16 @@ def sequence_contrastive_loss(
     predictions, symmetrized over the two views, averaged over videos.
 
     `z1` [B, N1, d] and `z2` [B, N2, d] hold the two views of B videos,
-    with timestamps `t1` [B, N1] and `t2` [B, N2]. The per-video losses
-    are summed first to last in the embedding precision, then divided by
-    B. Nonnegative; zero exactly when predictions equal targets in both
-    directions for every video.
+    with timestamps `t1` [B, N1] and `t2` [B, N2]. Nonnegative; zero
+    exactly when predictions equal targets in both directions for every
+    video.
     """
     t1, t2 = np.asarray(t1), np.asarray(t2)
     if z1.shape[:2] != t1.shape or z2.shape[:2] != t2.shape or z1.shape[0] != z2.shape[0]:
         raise ValueError("embedding counts do not match timestamp counts")
-    g12 = np.stack([gaussian_targets(a, b, sigma, z1.dtype) for a, b in zip(t1, t2)])
-    g21 = np.stack([gaussian_targets(b, a, sigma, z1.dtype) for a, b in zip(t1, t2)])
-    forward = _directed_kl(z1, z2, g12, temperature)
-    backward = _directed_kl(z2, z1, g21, temperature)
-    per_video = T.scale(T.add(forward, backward), 0.5)
-    return T.scale(T.sum_in_order(per_video), 1.0 / z1.shape[0])
+    forward = _directed_kl(z1, z2, gaussian_targets(t1, t2, sigma, z1.dtype), temperature)
+    backward = _directed_kl(z2, z1, gaussian_targets(t2, t1, sigma, z1.dtype), temperature)
+    return T.scale(T.add(forward, backward), 0.5 / z1.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +228,9 @@ def _step_loss(model: Model, batch: list[VideoFeatures], seeds: list[int],
     """The batch's mean contrastive loss, from one forward over its 2·B views.
 
     Views are stacked video by video (video 0 view 1, video 0 view 2,
-    video 1 view 1, ...), the order in which one-view-at-a-time forwards
-    would be recorded; the step agrees with such a run to float32
-    rounding (see the sequence axis in `tensor`).
+    video 1 view 1, ...). The step agrees with forwarding each view alone
+    and averaging one loss per video to float32 rounding, not bit for bit
+    (see the sequence axis in `tensor`).
     """
     views = [sample_two_views(video, config.view_len, seed)
              for video, seed in zip(batch, seeds)]
