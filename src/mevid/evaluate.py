@@ -101,9 +101,9 @@ def embed_dataset(model, videos) -> list[EmbeddedVideo]:
     one per video, and come back in input order; with one worker no
     thread starts. Each video is an independent forward pass that only
     reads the weights, so every float equals the one-at-a-time result.
-    The threads overlap inside numpy's matmul and ufunc loops and scipy's
-    `erf`, which release the GIL; OpenBLAS runs one thread per call
-    meanwhile (`_one_blas_thread`)."""
+    The threads overlap inside numpy's matmul and ufunc loops, which
+    release the GIL; OpenBLAS runs one thread per call meanwhile
+    (`_one_blas_thread`)."""
     # the active tape is one process-wide slot: worker threads appending to
     # it would record ops in a nondeterministic order
     if T._active_tape is not None:

@@ -2,9 +2,11 @@
 
 The operation set is deliberately small: exactly what the video model
 needs. Matrix products (2-D and batched 3-D), row-stochastic softmax,
-layer normalization, exact-erf GELU, concatenation, slicing, and a few
+layer normalization, Gaussian-CDF GELU, concatenation, slicing, and a few
 elementwise helpers. Storage is float32; `grad_check` re-runs a graph in
-float64, where central finite differences are meaningful.
+float64, where central finite differences are meaningful. GELU's float32
+`erf` is a rational approximation accurate to 5e-7; float64 uses the
+standard library's exact `erf`.
 
 Sequence axis: a 3-D operand of `matmul`, `bias_add` or `layer_norm`
 stacks independent sequences along its leading axis. A 3-D activation
@@ -25,11 +27,17 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SOFTMAX_FLOOR = 1e-20  # softmax probabilities below this are flushed to 0
+# float32 erf(z) = z * P(z^2) / Q(z^2) on z clipped to [-4, 4] (the rational
+# form Eigen uses for float32); coefficients highest order first, for Horner.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
 
 
 class ShapeError(ValueError):
@@ -367,16 +375,47 @@ def sum_all(x: Tensor) -> Tensor:
     return record_op(data, (x,), backward)
 
 
+def _horner(z2: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+    """The polynomial in z2 with `coefficients`, highest order first."""
+    acc = z2 * coefficients[0]
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= z2
+    acc += coefficients[-1]
+    return acc
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """Elementwise erf in z's dtype: the rational form within 5e-7 for
+    float32, the standard library's `math.erf` otherwise."""
+    if z.dtype != np.float32:
+        return np.vectorize(math.erf, otypes=[z.dtype])(z)
+    z = np.clip(z, -4.0, 4.0)
+    z2 = z * z
+    p = _horner(z2, _ERF_P)
+    p *= z
+    p /= _horner(z2, _ERF_Q)
+    return p
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    """Gaussian-CDF GELU: x * Phi(x)."""
     x_arr = x.data
-    cdf = 0.5 * (1.0 + erf(x_arr * _INV_SQRT2))
+    cdf = _erf(x_arr * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward(g):
-        pdf = np.exp(-0.5 * x_arr * x_arr) * _INV_SQRT2PI
-        return (g * (cdf + x_arr * pdf).astype(g.dtype),)
+        d = x_arr * -0.5
+        d *= x_arr
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x_arr
+        d += cdf
+        d *= g
+        return (d,)
 
-    return record_op((x_arr * cdf).astype(x_arr.dtype), (x,), backward)
+    return record_op(x_arr * cdf, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +474,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match trailing dim {d} of {x.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = (xhat * gamma.data + beta.data).astype(x.data.dtype)
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
     g_arr = gamma.data
 
     def backward(g):
@@ -448,10 +490,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dbeta = _vector_grad(g) if beta.requires_grad else None
         dx = None
         if x.requires_grad:
-            dxhat = g * g_arr
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            dx = (inv * (dxhat - m1 - xhat * m2)).astype(g.dtype)
+            dx = g * g_arr
+            m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(dx * xhat, axis=-1, keepdims=True) / d
+            dx -= m1
+            dx -= xhat * m2
+            dx *= inv
         return dx, dgamma, dbeta
 
     return record_op(out, (x, gamma, beta), backward)

@@ -1,4 +1,5 @@
 import inspect
+import math
 import zlib
 
 import numpy as np
@@ -154,6 +155,46 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             T.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_identical_to_mean_form(self, dtype):
+        # the reference is the earlier `.mean`-based formula; the fewer-pass
+        # op must round every output and gradient float exactly as it did
+        def reference(x, gamma, beta, g, eps=1e-5):
+            d = x.shape[-1]
+            mu = x.mean(axis=-1, keepdims=True)
+            centered = x - mu
+            var = (centered * centered).mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(var + eps)
+            xhat = centered * inv
+            out = (xhat * gamma + beta).astype(x.dtype)
+            dxhat = g * gamma
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dx = (inv * (dxhat - m1 - xhat * m2)).astype(g.dtype)
+            dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+            dbeta = g.reshape(-1, d).sum(axis=0)
+            return out, dx, dgamma, dbeta
+
+        rng = np.random.default_rng(29)
+        widths = [1, 2, 3, 7, 64, 128, 129, 255, 300] + list(rng.integers(1, 301, 11))
+        for d in widths:
+            lead = (int(rng.integers(1, 9)),) + ((int(rng.integers(1, 7)),) if d % 2 else ())
+            x, g = (rng.standard_normal((*lead, d)) * rng.uniform(0.1, 10) for _ in range(2))
+            gamma, beta = (rng.standard_normal(d) for _ in range(2))
+            x, g, gamma, beta = (a.astype(dtype) for a in (x, g, gamma, beta))
+            px, pg, pb = (Parameter(n, a, dtype=dtype)
+                          for n, a in (("x", x), ("gamma", gamma), ("beta", beta)))
+            with Tape() as tape:
+                out = T.layer_norm(px, pg, pb)
+                loss = T.sum_all(T.mul(out, Tensor(g, dtype=dtype)))
+            tape.backward(loss)
+            want = reference(x, gamma, beta, g)
+            assert out.data.tobytes() == want[0].tobytes(), (d, lead)
+            for param, ref in zip((px, pg, pb), want[1:]):
+                # a Parameter's grad is zeros plus the contribution
+                assert param.grad.tobytes() == (np.zeros_like(ref) + ref).tobytes(), (
+                    param.name, d, lead)
+
 
 class TestGelu:
     def test_zero(self):
@@ -167,12 +208,49 @@ class TestGelu:
         assert abs(x.grad[0] - 0.5) < 1e-7
 
     def test_matches_erf_form(self):
-        from scipy.special import erf
-
         v = np.linspace(-3, 3, 13)
         out = T.gelu(Tensor(v)).data
-        want = v * 0.5 * (1 + erf(v / np.sqrt(2)))
+        want = v * 0.5 * (1 + np.array([math.erf(t / math.sqrt(2)) for t in v]))
         assert np.allclose(out, want, atol=1e-6)
+
+    def test_float32_erf_within_5e7(self):
+        z = np.linspace(-6, 6, 240_001).astype(np.float32)
+        got = T._erf(z)
+        assert got.dtype == np.float32
+        want = np.array([math.erf(t) for t in z.astype(np.float64)])
+        assert np.abs(got.astype(np.float64) - want).max() <= 5e-7
+
+    def test_float64_erf_is_math_erf(self):
+        z = np.concatenate([np.linspace(-7, 7, 2001), [np.inf, -np.inf, 0.0, -0.0]])
+        got = T._erf(z)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([math.erf(t) for t in z]).tobytes()
+
+    def test_non_finite_and_signed_zero(self):
+        v = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            out = T.gelu(Tensor(v)).data
+        assert out[0] == np.inf
+        assert np.isnan(out[1]) and np.isnan(out[2])
+        assert out[3] == 0.0 and not np.signbit(out[3])
+        assert out[4] == 0.0 and np.signbit(out[4])
+
+    def test_agrees_with_float64_erf_form(self):
+        # the reference is the erf-form GELU and its derivative in float64,
+        # with the standard library's exact erf
+        rng = np.random.default_rng(31)
+        x = (rng.standard_normal((8, 24, 512)) * 3).astype(np.float32)
+        up = rng.standard_normal(x.shape).astype(np.float32)
+        p = Parameter("x", x)
+        with Tape() as tape:
+            out = T.gelu(p)
+            loss = T.sum_all(T.mul(out, Tensor(up)))
+        tape.backward(loss)
+        x64 = x.astype(np.float64)
+        cdf = 0.5 * (1 + np.vectorize(math.erf)(x64 / math.sqrt(2)))
+        pdf = np.exp(-0.5 * x64 * x64) / math.sqrt(2 * math.pi)
+        assert np.abs(out.data - x64 * cdf).max() <= 2e-6
+        assert np.abs(p.grad - up * (cdf + x64 * pdf)).max() <= 2e-6
 
 
 class TestAttention:
