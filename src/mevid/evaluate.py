@@ -94,6 +94,35 @@ def _one_blas_thread():
             set_(count)
 
 
+# glibc's mallopt parameter numbers (malloc.h). 32 MiB is the ceiling of
+# glibc's own dynamic mmap threshold, and the trim threshold is twice it,
+# the ratio the dynamic rule keeps.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+def _keep_heap_resident() -> None:
+    """Serve arrays under 32 MiB from the heap and keep up to 64 MiB of
+    freed heap mapped, so each training step and eval pass reuses pages
+    instead of faulting in fresh ones. `training.train` and
+    `embed_dataset` call it, so every caller of either gets it.
+
+    glibc starts with a 128 KiB mmap threshold and raises it only when a
+    larger mmapped block is freed, so without this a run's speed depends
+    on what the process allocated before it. Idempotent; a no-op where
+    libc or its mallopt cannot be found."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def embed_dataset(model, videos) -> list[EmbeddedVideo]:
     """Run the frozen model over full videos; no gradients are recorded.
 
@@ -108,6 +137,7 @@ def embed_dataset(model, videos) -> list[EmbeddedVideo]:
     # it would record ops in a nondeterministic order
     if T._active_tape is not None:
         raise T.GraphError("embed_dataset cannot run while a Tape is recording")
+    _keep_heap_resident()
 
     def embed(video) -> EmbeddedVideo:
         emb = model.embed_frames([l[None] for l in video.layers]).data[0].copy()

@@ -109,14 +109,22 @@ class Model:
     def embed_frames(self, layers: list[np.ndarray]) -> Tensor:
         """Pooled [B, T, d] per-frame embeddings of B sequences, given raw
         per-layer [B, T, S, D] arrays. Training runs every view of a step
-        as one batch; evaluation runs one video."""
-        if self.config.arch == "entity":
+        as one batch; evaluation runs one video.
+
+        Under cls_style with E > 1 the fusion computes only the rows that
+        pooling reads, and those rows are the frame embeddings."""
+        config = self.config
+        if config.arch == "entity":
             tokens, _ = sp.extract_entities_from_arrays(layers, self.params)
         else:
-            tokens = tf.split_frame_tokens(layers[-1], self.params, self.config.model_dim)
-        fused = tf.fuse_tokens(tf.build_frame_tokens(tokens, self.config), self.config,
-                               self.params)
-        return tf.pool_output(fused, self.config.entities, self.config.pooling)
+            tokens = tf.split_frame_tokens(layers[-1], self.params, config.model_dim)
+        rows = None
+        if config.entities > 1:
+            rows = tf.read_rows(tokens.shape[1], config.entities, config.pooling)
+        fused = tf.fuse_tokens(tf.build_frame_tokens(tokens, config), config, self.params, rows)
+        if rows is not None:
+            return fused
+        return tf.pool_output(fused, config.entities, config.pooling)
 
     def project(self, pooled: Tensor) -> Tensor:
         """Contrastive-loss head over [B, T, d]; evaluation uses the pooled

@@ -5,7 +5,6 @@ over independently seeded initializations).
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,40 +36,11 @@ def dataset_from_config(config: RunConfig) -> tuple[list[VideoFeatures], dict[st
     return selected, split
 
 
-# glibc's mallopt parameter numbers (malloc.h). 32 MiB is the ceiling of
-# glibc's own dynamic mmap threshold, and the trim threshold is twice it,
-# the ratio the dynamic rule keeps.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
-
-
-def _keep_heap_resident() -> None:
-    """Serve arrays under 32 MiB from the heap and keep up to 64 MiB of
-    freed heap mapped, so each training step and eval pass reuses pages
-    instead of faulting in fresh ones.
-
-    glibc starts with a 128 KiB mmap threshold and raises it only when a
-    larger mmapped block is freed, so without this a run's speed depends
-    on what the process allocated before it. Idempotent; a no-op where
-    libc or its mallopt cannot be found."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
 def train_model(config: RunConfig, videos: list[VideoFeatures],
                 split_of: dict[str, str], seed: int | None = None) -> TrainResult:
     """Train on the train split with OpenBLAS on one thread: the step's
     products are too small to gain from more, and concurrent trainings
     over a multithreaded OpenBLAS oversubscribe the CPUs."""
-    _keep_heap_resident()
     if seed is not None:
         config = replace(config, seed=seed)
     train_videos = [v for v in videos if split_of[v.video_id] == "train"]
@@ -82,7 +52,6 @@ def evaluate_trained(config: RunConfig, model: Model, videos: list[VideoFeatures
                      split_of: dict[str, str]) -> dict[str, float]:
     """The four metrics of `model`. The train and test lists keep the order
     of `videos`, which fixes tau's mean and retrieval's candidate pool."""
-    _keep_heap_resident()
     train = [v for v in videos if split_of[v.video_id] == "train"]
     test = [v for v in videos if split_of[v.video_id] == "test"]
     embedded = embed_dataset(model, train + test)

@@ -9,6 +9,13 @@ per-token outputs to one embedding per frame, either by designating
 entity 0's token as the output (cls_style) or by averaging the frame's
 tokens.
 
+When the caller reads only some token rows (entity 0's, under cls_style),
+the last block computes only those: every token still supplies keys and
+values, but the queries, the attention output, the residual, the MLP and
+the final norm run on the read rows alone. Each of those steps acts on a
+row by itself, so the read rows come out as the full pass computes them
+(CaiT's class-attention layers use the same split).
+
 Also provides the fixed-width baseline: each frame's last-layer tokens
 are mean-pooled to one vector and split into N tokens by a learned linear
 layer, matching the fusion width of the multi-entity path without any
@@ -114,17 +121,26 @@ def build_frame_tokens(tokens: Tensor, config: ModelConfig) -> Tensor:
     return T.add(tagged, Tensor(padded, dtype=dtype))
 
 
-def _attention(x: Tensor, params: dict[str, Parameter], pre: str, heads: int) -> Tensor:
-    q = T.bias_add(T.matmul(x, params[pre + "wq"]), params[pre + "bq"])
+def _attention(x: Tensor, params: dict[str, Parameter], pre: str, heads: int,
+               rows: np.ndarray | None = None) -> Tensor:
+    """Self-attention over x's tokens; with `rows`, only those rows query."""
+    xq = x if rows is None else T.take_rows(x, rows)
+    q = T.bias_add(T.matmul(xq, params[pre + "wq"]), params[pre + "bq"])
     k = T.bias_add(T.matmul(x, params[pre + "wk"]), params[pre + "bk"])
     v = T.bias_add(T.matmul(x, params[pre + "wv"]), params[pre + "bv"])
     mixed, _ = T.scaled_dot_attention(q, k, v, heads)
     return T.bias_add(T.matmul(mixed, params[pre + "wo"]), params[pre + "bo"])
 
 
-def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter]) -> Tensor:
+def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter],
+                rows: np.ndarray | None = None) -> Tensor:
     """Run the pre-norm fusion transformer over [B, N, token_dim] tokens,
-    each sequence attending within itself; token count in == token count out."""
+    each sequence attending within itself, and return [B, N, model_dim].
+
+    With `rows` (indices into N), return only those rows of every
+    sequence, [B, len(rows), model_dim], equal to the full output's rows
+    up to float32 rounding: past its keys and values, the last block
+    computes nothing else."""
     if tokens.ndim != 3 or tokens.shape[2] != config.token_dim:
         raise ValueError(
             f"tokens of shape {tokens.shape} are not [B, N, {config.token_dim}]"
@@ -132,8 +148,11 @@ def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter
     h = T.bias_add(T.matmul(tokens, params["fusion.input.w"]), params["fusion.input.b"])
     for i in range(config.blocks):
         pre = f"fusion.block{i}."
+        read = rows if i == config.blocks - 1 else None
         normed = T.layer_norm(h, params[pre + "ln1_gamma"], params[pre + "ln1_beta"])
-        h = T.add(h, _attention(normed, params, pre, config.heads))
+        if read is not None:
+            h = T.take_rows(h, read)
+        h = T.add(h, _attention(normed, params, pre, config.heads, read))
         normed = T.layer_norm(h, params[pre + "ln2_gamma"], params[pre + "ln2_beta"])
         m = T.gelu(T.bias_add(T.matmul(normed, params[pre + "w1"]), params[pre + "b1"]))
         m = T.bias_add(T.matmul(m, params[pre + "w2"]), params[pre + "b2"])
@@ -141,20 +160,28 @@ def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter
     return T.layer_norm(h, params["fusion.final.gamma"], params["fusion.final.beta"])
 
 
+def read_rows(num_tokens: int, num_entities: int, mode: str) -> np.ndarray | None:
+    """The rows of N = T*E frame-major tokens that `mode`'s pooling reads:
+    entity 0's under cls_style, None (every row) under average."""
+    if num_tokens % num_entities:
+        raise ValueError(f"{num_tokens} tokens are not whole frames of {num_entities} entities")
+    if mode == "cls_style":
+        return np.arange(num_tokens // num_entities) * num_entities
+    if mode == "average":
+        return None
+    raise ValueError(f"pooling must be one of {POOLING_MODES}, got {mode!r}")
+
+
 def pool_output(outputs: Tensor, num_entities: int, mode: str) -> Tensor:
     """Reduce [B, T*E, d] fused tokens to [B, T, d] frame embeddings."""
     b, n, d = outputs.shape
-    e = num_entities
-    if n % e:
-        raise ValueError(f"{n} tokens are not whole frames of {e} entities")
-    t = n // e
-    if mode == "cls_style":
-        return T.take_rows(outputs, np.arange(t) * e)
-    if mode == "average":
-        mean_w = Tensor(np.full((1, e), 1.0 / e), dtype=outputs.dtype)
-        grouped = T.reshape(outputs, (b * t, e, d))
-        return T.reshape(T.matmul(mean_w, grouped), (b, t, d))
-    raise ValueError(f"pooling must be one of {POOLING_MODES}, got {mode!r}")
+    rows = read_rows(n, num_entities, mode)
+    if rows is not None:
+        return T.take_rows(outputs, rows)
+    e, t = num_entities, n // num_entities
+    mean_w = Tensor(np.full((1, e), 1.0 / e), dtype=outputs.dtype)
+    grouped = T.reshape(outputs, (b * t, e, d))
+    return T.reshape(T.matmul(mean_w, grouped), (b, t, d))
 
 
 # ---------------------------------------------------------------------------

@@ -245,16 +245,24 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows (the second-to-last axis) by index, in every leading slice."""
+    """Gather rows (the second-to-last axis) by index, in every leading slice.
+
+    The backward assigns the gradient rows when the indices are distinct
+    and accumulates them with `np.add.at` only when one repeats."""
     if x.ndim not in (2, 3):
         raise ShapeError(f"take_rows needs a 2-D or 3-D tensor, got shape {x.data.shape}")
-    rows = (Ellipsis, np.asarray(indices, dtype=np.int64), slice(None))
+    idx = np.asarray(indices, dtype=np.int64)
+    rows = (Ellipsis, idx, slice(None))
     data = x.data[rows]
     xshape = x.data.shape
+    distinct = np.unique(idx % xshape[-2]).size == idx.size
 
     def backward(g):
         dx = np.zeros(xshape, dtype=g.dtype)
-        np.add.at(dx, rows, g)
+        if distinct:
+            dx[rows] = g
+        else:
+            np.add.at(dx, rows, g)
         return (dx,)
 
     return record_op(data, (x,), backward)

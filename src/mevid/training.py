@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .evaluate import _keep_heap_resident
 from .features import VideoFeatures
 from .model import Model, ModelConfig
 from .tensor import Parameter, Tape, Tensor
@@ -192,6 +193,7 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
     """
     if not dataset:
         raise ValueError("training dataset is empty")
+    _keep_heap_resident()
     rng = np.random.default_rng(config.seed)
     model = Model(model_config, rng)
     params = model.params

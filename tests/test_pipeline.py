@@ -1,12 +1,16 @@
 import ctypes
+import os
 import platform
 import resource
+import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mevid
 from mevid import evaluate as ev
 from mevid import pipeline
 from mevid.config import RunConfig
@@ -21,11 +25,41 @@ def test_training_heap_stays_resident():
     # pages for its larger arrays: about 3K minor faults per default step
     config = RunConfig(max_steps=10)
     videos, split_of = pipeline.dataset_from_config(config)
-    pipeline._keep_heap_resident()
+    ev._keep_heap_resident()
     pipeline.train_model(replace(config, max_steps=2), videos, split_of)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     pipeline.train_model(config, videos, split_of)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"{faults} minor page faults in 10 steps"
+
+
+# a fresh interpreter that calls `training.train` itself, as a library
+# caller does, without going through `pipeline`
+_FRESH_TRAINING = textwrap.dedent("""
+    import resource
+    from dataclasses import replace
+    from mevid.config import RunConfig
+    from mevid.pipeline import dataset_from_config
+    from mevid.training import train
+
+    config = RunConfig(max_steps=10)
+    videos, split_of = dataset_from_config(config)
+    videos = [v for v in videos if split_of[v.video_id] == "train"]
+    train(videos, config.model_config(), replace(config, max_steps=2).train_config())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(videos, config.model_config(), config.train_config())
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(not GLIBC, reason="the mmap and trim thresholds are glibc's")
+def test_train_pins_the_heap_in_a_fresh_process():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mevid.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _FRESH_TRAINING], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    faults = int(done.stdout.split()[-1])
     assert faults < 1000, f"{faults} minor page faults in 10 steps"
 
 
@@ -65,7 +99,7 @@ def _no_libc(name):
 @pytest.mark.parametrize("cdll", [_no_libc, _NoMallopt], ids=["no_libc", "no_mallopt"])
 def test_heap_helper_is_a_no_op_without_mallopt(cdll, monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    pipeline._keep_heap_resident()
+    ev._keep_heap_resident()
 
 
 @pytest.mark.parametrize("arch", ["entity", "fixed_width"])

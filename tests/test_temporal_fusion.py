@@ -85,6 +85,39 @@ class TestFusion:
             tf.fuse_tokens(Tensor(arr[None]), CFG, params), e, "cls_style").data
         assert np.array_equal(pool(tokens), pool(tokens[perm]))
 
+    def test_pruned_cls_rows_bitwise_invariant_fixing_entity_zero(self):
+        # criterion 3's cls property on the path the model runs: the last
+        # block computes only entity 0's rows
+        rng = np.random.default_rng(5)
+        params = self._params()
+        t, e = 5, 3
+        tokens = tf.build_frame_tokens(entity_tokens(rng, t=t), CFG).data[0]
+        perm = np.arange(t * e).reshape(t, e)[:, [0, 2, 1]].reshape(-1)
+        rows = tf.read_rows(t * e, e, "cls_style")
+        fuse = lambda arr: tf.fuse_tokens(Tensor(arr[None]), CFG, params, rows).data
+        assert fuse(tokens).shape == (1, t, CFG.model_dim)
+        assert np.array_equal(fuse(tokens), fuse(tokens[perm]))
+
+    @pytest.mark.parametrize("e, rows", [(3, [0, 3, 6, 9]), (3, [7, 1]), (1, [0, 1, 2, 3])],
+                             ids=["cls_rows", "any_rows", "e1_every_row"])
+    def test_rows_are_rows_of_the_full_output(self, e, rows):
+        config = dataclasses.replace(CFG, entities=e)
+        params = tf.init_fusion_params(np.random.default_rng(9), config)
+        rng = np.random.default_rng(10)
+        tokens = tf.build_frame_tokens(entity_tokens(rng, t=4, e=e), config)
+        full = tf.fuse_tokens(tokens, config, params).data
+        pruned = tf.fuse_tokens(tokens, config, params, np.array(rows)).data
+        assert pruned.shape == (1, len(rows), config.model_dim)
+        assert np.abs(pruned - full[:, rows]).max() <= 1e-6
+
+    def test_read_rows_is_what_pooling_reads(self):
+        rng = np.random.default_rng(11)
+        out = Tensor(rng.standard_normal((2, 12, 4)).astype(np.float32))
+        rows = tf.read_rows(12, 3, "cls_style")
+        assert rows.tolist() == [0, 3, 6, 9]
+        assert np.array_equal(tf.pool_output(out, 3, "cls_style").data, out.data[:, rows])
+        assert tf.read_rows(12, 3, "average") is None
+
     def test_average_pooling_invariant_any_permutation(self):
         rng = np.random.default_rng(6)
         params = self._params()
@@ -111,11 +144,12 @@ class TestFusion:
         assert report.passed and report.max_rel_error < 1e-5, report
 
     @staticmethod
-    def per_head_attention(x, params, pre, heads):
+    def per_head_attention(x, params, pre, heads, rows=None):
         """Reference: each head narrowed out of q, k and v, attended on its
         own, and the heads concatenated back."""
-        q, k, v = (T.bias_add(T.matmul(x, params[pre + "w" + n]), params[pre + "b" + n])
-                   for n in "qkv")
+        xq = x if rows is None else T.take_rows(x, rows)
+        q, k, v = (T.bias_add(T.matmul(inp, params[pre + "w" + n]), params[pre + "b" + n])
+                   for inp, n in zip((xq, x, x), "qkv"))
         width = q.shape[2] // heads
         outs = [T.scaled_dot_attention(*(T.narrow(t, 2, h * width, width) for t in (q, k, v)))[0]
                 for h in range(heads)]

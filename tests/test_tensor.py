@@ -27,7 +27,8 @@ GRAD_CASES = [
     "mul", "scale", "bias_add", "concat", "narrow", "take_rows", "reshape",
     "swap_last", "normalize_rows", "sum_all", "attention", "matmul_seq",
     "matmul_seq_left", "matmul_grouped", "matmul_grouped_left", "bias_add_seq",
-    "layer_norm_seq", "take_rows_seq", "normalize_rows_seq", "attention_seq",
+    "layer_norm_seq", "take_rows_seq", "take_rows_distinct", "normalize_rows_seq",
+    "attention_seq",
     "attention_heads", "attention_query_seq",
 ]
 
@@ -412,6 +413,7 @@ class TestGradCheck:
             "bias_add_seq": lambda p: T.bias_add(p["xs"], p["b"]),
             "layer_norm_seq": lambda p: T.layer_norm(p["xs"], p["b"], p["b"]),
             "take_rows_seq": lambda p: T.take_rows(p["xs"], np.array([2, 0, 2])),
+            "take_rows_distinct": lambda p: T.take_rows(p["xs"], np.array([-1, 0])),
             "normalize_rows_seq": lambda p: T.normalize_rows(p["xs"]),
             "attention_seq": lambda p: T.scaled_dot_attention(p["xs"], p["xs"], p["xs"])[0],
             "attention_heads": lambda p: T.scaled_dot_attention(
@@ -493,6 +495,20 @@ class TestMisc:
         for out in (T.softmax(x, 0), T.log_softmax(x, 0), T.gelu(x),
                     T.layer_norm(x, g, b)):
             assert np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("indices", [[4, 0, 2], [2, 0, 2], [3, -2], [-1, 0, 1, 2, 3]],
+                             ids=["distinct", "repeated", "negative_alias", "all_rows"])
+    def test_take_rows_backward_scatters_as_add_at(self, indices):
+        # distinct rows get their gradient by assignment, repeats by add.at
+        rng = np.random.default_rng(12)
+        x = Parameter("x", rng.standard_normal((2, 5, 3)))
+        g = rng.standard_normal((2, len(indices), 3)).astype(np.float32)
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(T.take_rows(x, np.array(indices)), Tensor(g)))
+        tape.backward(loss)
+        want = np.zeros((2, 5, 3), dtype=np.float32)
+        np.add.at(want, (Ellipsis, np.array(indices), slice(None)), g)
+        assert np.array_equal(x.grad, want)
 
     def test_softmax_flushes_below_floor(self):
         # exp(-70) is about 4e-31, below the floor; exp(-40) is about 4e-18

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mevid import spatial_pooling as sp
+from mevid import temporal_fusion as tf
 from mevid import tensor as T
 from mevid import training as tr
 from mevid.features import SyntheticSpec, generate_synthetic_dataset
@@ -382,6 +384,71 @@ class TestBatchedStep:
         largest = max(float(np.abs(g).max()) for g in ref_grads.values())
         gaps = {name: float(np.abs(grads[name] - ref_grads[name]).max()) for name in grads}
         assert max(gaps.values()) <= 1e-5 * largest, gaps
+
+
+def full_embed_frames(model, layers):
+    """Reference: every fused row computed, then pooled by `pool_output`."""
+    config = model.config
+    if config.arch == "entity":
+        tokens, _ = sp.extract_entities_from_arrays(layers, model.params)
+    else:
+        tokens = tf.split_frame_tokens(layers[-1], model.params, config.model_dim)
+    fused = tf.fuse_tokens(tf.build_frame_tokens(tokens, config), config, model.params)
+    return tf.pool_output(fused, config.entities, config.pooling)
+
+
+class TestPrunedFusion:
+    # the last fusion block computes only the rows that cls_style pooling
+    # reads; each case is a step of 4 videos, 8 sequences
+    CASES = {
+        "default": dict(),
+        "multihead": dict(heads=4, view_len=16, frames=64),
+        "fixed_width": dict(arch="fixed_width"),
+        "e1": dict(entities=1),
+    }
+
+    @staticmethod
+    def _setup(over):
+        run = RunConfig(**over)
+        videos, split_of = dataset_from_config(run)
+        batch = [v for v in videos if split_of[v.video_id] == "train"][:4]
+        seeds = [int(s) for s in np.random.default_rng(3).integers(2 ** 63, size=len(batch))]
+        model = Model(run.model_config(), np.random.default_rng(4))
+        return model, batch, seeds, run.train_config()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_full_fusion_and_pooling(self, case, monkeypatch):
+        model, batch, seeds, config = self._setup(self.CASES[case])
+        layers = [np.stack([l[:config.view_len] for l in (v.layers[i] for v in batch)])
+                  for i in range(len(batch[0].layers))]
+        pruned = model.embed_frames(layers).data
+        loss, grads = TestBatchedStep._loss_and_grads(model, tr._step_loss, batch, seeds,
+                                                      config)
+        monkeypatch.setattr(Model, "embed_frames", full_embed_frames)
+        full = model.embed_frames(layers).data
+        ref_loss, ref_grads = TestBatchedStep._loss_and_grads(
+            model, tr._step_loss, batch, seeds, config)
+        assert pruned.shape == full.shape == (4, config.view_len, model.config.model_dim)
+        assert np.abs(pruned - full).max() <= 1e-5 * np.abs(full).max()
+        assert abs(loss - ref_loss) <= 1e-6 * abs(ref_loss), (loss, ref_loss)
+        assert list(grads) == list(ref_grads)
+        largest = max(float(np.abs(g).max()) for g in ref_grads.values())
+        gaps = {name: float(np.abs(grads[name] - ref_grads[name]).max()) for name in grads}
+        assert max(gaps.values()) <= 1e-5 * largest, gaps
+
+    def test_last_block_mlp_reads_one_row_per_frame(self):
+        # a default step's last block feeds T rows per sequence, not T*E,
+        # to its MLP; earlier blocks still feed every token
+        model, batch, seeds, config = self._setup({})
+        with Tape() as tape:
+            tr._step_loss(model, batch, seeds, config)
+        e, blocks = model.config.entities, model.config.blocks
+        for i in range(blocks):
+            w1 = model.params[f"fusion.block{i}.w1"]
+            shapes = [inputs[0].shape for _, inputs, _ in tape._ops
+                      if any(t is w1 for t in inputs)]
+            rows = config.view_len * (1 if i == blocks - 1 else e)
+            assert shapes == [(2 * len(batch), rows, model.config.model_dim)], (i, shapes)
 
 
 class TestTrialAggregation:
