@@ -25,7 +25,6 @@ def test_training_heap_stays_resident():
     # pages for its larger arrays: about 3K minor faults per default step
     config = RunConfig(max_steps=10)
     videos, split_of = pipeline.dataset_from_config(config)
-    ev._keep_heap_resident()
     pipeline.train_model(replace(config, max_steps=2), videos, split_of)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     pipeline.train_model(config, videos, split_of)

@@ -419,7 +419,7 @@ class TestPrunedFusion:
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_full_fusion_and_pooling(self, case, monkeypatch):
         model, batch, seeds, config = self._setup(self.CASES[case])
-        layers = [np.stack([l[:config.view_len] for l in (v.layers[i] for v in batch)])
+        layers = [np.stack([v.layers[i][:config.view_len] for v in batch])
                   for i in range(len(batch[0].layers))]
         pruned = model.embed_frames(layers).data
         loss, grads = TestBatchedStep._loss_and_grads(model, tr._step_loss, batch, seeds,
