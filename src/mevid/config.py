@@ -66,8 +66,6 @@ class RunConfig:
     batch: int = 4
     seed: int = 0
     # probes
-    probe_epochs: int = 500
-    probe_lr: float = 1.0
     ridge_lambda: float = 1e-4
 
     def _section(self, cls):
@@ -116,11 +114,7 @@ def _validate(config: RunConfig) -> RunConfig:
                           f"{config.train_fraction} leaves the train split empty")
     if config.view_len > config.frames:
         raise ConfigError(f"view_len {config.view_len} exceeds frames {config.frames}")
-    if config.probe_epochs < 1:
-        raise ConfigError(f"probe_epochs must be >= 1, got {config.probe_epochs}")
-    # written so that NaN fails both ranges
-    if not 0.0 < config.probe_lr < math.inf:
-        raise ConfigError(f"probe_lr must be finite and > 0, got {config.probe_lr}")
+    # written so that NaN fails the range
     if not 0.0 <= config.ridge_lambda < math.inf:
         raise ConfigError(f"ridge_lambda must be finite and >= 0, got {config.ridge_lambda}")
     return config

@@ -13,6 +13,7 @@ import contextlib
 import ctypes
 import logging
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -155,37 +156,86 @@ def embed_dataset(model, videos) -> list[EmbeddedVideo]:
 # (1) phase classification via linear probe
 
 
-def _standardize(train_x: np.ndarray, test_x: np.ndarray):
-    mu = train_x.mean(axis=0)
-    sd = train_x.std(axis=0)
+def _design_matrices(train_x: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:
+    """Float64 probe inputs for `train_x` and each of `others`: every
+    matrix standardized by the train rows' mean and std, with a bias column
+    of ones appended."""
+    x = np.asarray(train_x, dtype=np.float64)
+    mu, sd = x.mean(axis=0), x.std(axis=0)
     sd[sd < 1e-8] = 1.0
-    return (train_x - mu) / sd, (test_x - mu) / sd
+    return [np.concatenate([(np.asarray(m, dtype=np.float64) - mu) / sd,
+                            np.ones((len(m), 1))], axis=1)
+            for m in (x, *others)]
 
 
-def _fit_softmax_probe(x: np.ndarray, y: np.ndarray, classes: int,
-                       epochs: int, lr: float) -> np.ndarray:
-    """Full-batch gradient descent on softmax cross-entropy; zero init."""
-    n = x.shape[0]
-    xb = np.concatenate([x, np.ones((n, 1), dtype=x.dtype)], axis=1)
-    w = np.zeros((xb.shape[1], classes), dtype=np.float64)
+# The probe minimizes mean softmax cross-entropy plus PROBE_L2 / 2 * ||W||^2,
+# bias row included, until every gradient entry is within PROBE_GTOL of 0.
+PROBE_L2 = 1e-3
+PROBE_GTOL = 1e-6
+_PROBE_MEMORY = 10        # L-BFGS curvature pairs
+_PROBE_MAX_ITER = 1000
+_ARMIJO = 1e-4            # sufficient-decrease fraction of the line search
+_MAX_HALVINGS = 60        # backtracking steps per iteration
+
+
+def _probe_objective(w: np.ndarray, xb: np.ndarray, onehot: np.ndarray):
+    """The probe's objective at `w` and its gradient."""
+    logits = xb @ w
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    total = p.sum(axis=1, keepdims=True)
+    p /= total
+    n = xb.shape[0]
+    value = (np.log(total).sum() - (logits * onehot).sum()) / n + 0.5 * PROBE_L2 * (w * w).sum()
+    return value, xb.T @ (p - onehot) / n + PROBE_L2 * w
+
+
+def _fit_softmax_probe(xb: np.ndarray, y: np.ndarray, classes: int) -> np.ndarray:
+    """W [features, classes] at the probe's optimum, by L-BFGS from zero
+    with Armijo backtracking from a unit step. The objective is strongly
+    convex, so every curvature pair is positive. Logs a warning if the
+    iteration cap is reached or the line search stalls."""
+    n = xb.shape[0]
     onehot = np.zeros((n, classes))
     onehot[np.arange(n), y] = 1.0
-    xb64 = xb.astype(np.float64)
-    for _ in range(epochs):
-        logits = xb64 @ w
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        w -= lr * (xb64.T @ (p - onehot)) / n
+    w = np.zeros((xb.shape[1], classes))
+    value, grad = _probe_objective(w, xb, onehot)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_PROBE_MEMORY)
+    for _ in range(_PROBE_MAX_ITER):
+        if np.abs(grad).max() <= PROBE_GTOL:
+            return w
+        # the two-loop recursion: q = H·grad for L-BFGS's inverse Hessian H
+        q, alphas = grad.copy(), []
+        for s, g_diff, rho in reversed(pairs):
+            alphas.append(rho * (s * q).sum())
+            q -= alphas[-1] * g_diff
+        if pairs:  # H starts as s·y / y·y of the newest pair
+            q /= pairs[-1][2] * (pairs[-1][1] ** 2).sum()
+        for (s, g_diff, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (g_diff * q).sum()) * s
+        slope = -(grad * q).sum()
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w_next = w - step * q
+            value_next, grad_next = _probe_objective(w_next, xb, onehot)
+            if value_next <= value + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, g_diff = w_next - w, grad_next - grad
+        pairs.append((s, g_diff, 1.0 / (s * g_diff).sum()))
+        w, value, grad = w_next, value_next, grad_next
+    log.warning("classification: the probe stopped at max |grad| %.3g, above %g",
+                np.abs(grad).max(), PROBE_GTOL)
     return w
 
 
-def linear_probe_classification(train: list[EmbeddedVideo], test: list[EmbeddedVideo],
-                                epochs: int, lr: float) -> float:
-    """Test-frame accuracy of a multinomial logistic probe on frozen
-    embeddings, standardized by train-video statistics. The classes are
-    the distinct train labels; a test label unseen in train counts as
-    wrong."""
+def linear_probe_classification(train: list[EmbeddedVideo], test: list[EmbeddedVideo]) -> float:
+    """Test-frame accuracy of a multinomial logistic probe fit to its
+    optimum on frozen embeddings, standardized by train-video statistics.
+    The classes are the distinct train labels; a test label unseen in
+    train counts as wrong."""
     train_x = np.concatenate([v.embeddings for v in train], axis=0)
     train_y = np.concatenate([v.labels for v in train], axis=0)
     test_x = np.concatenate([v.embeddings for v in test], axis=0)
@@ -193,10 +243,9 @@ def linear_probe_classification(train: list[EmbeddedVideo], test: list[EmbeddedV
     classes, train_class = np.unique(train_y, return_inverse=True)
     if classes.size < 2:
         raise ValueError("training split contains a single class")
-    train_x, test_x = _standardize(train_x, test_x)
-    w = _fit_softmax_probe(train_x, train_class, classes.size, epochs, lr)
-    xb = np.concatenate([test_x, np.ones((test_x.shape[0], 1), dtype=test_x.dtype)], axis=1)
-    pred = classes[np.argmax(xb.astype(np.float64) @ w, axis=1)]
+    train_xb, test_xb = _design_matrices(train_x, test_x)
+    w = _fit_softmax_probe(train_xb, train_class, classes.size)
+    pred = classes[np.argmax(test_xb @ w, axis=1)]
     return float(np.mean(pred == test_y))
 
 
@@ -219,24 +268,20 @@ def phase_progression_r2(train: list[EmbeddedVideo], test: list[EmbeddedVideo],
     """Closed-form ridge regression to the progression target; R^2 is
     computed per test video against its own target mean, then averaged.
     Zero-variance videos are excluded with a warning."""
-    x = np.concatenate([v.embeddings for v in train], axis=0).astype(np.float64)
+    x = np.concatenate([v.embeddings for v in train], axis=0)
     y = np.concatenate([v.progression for v in train], axis=0).astype(np.float64)
-    mu, sd = x.mean(axis=0), x.std(axis=0)
-    sd[sd < 1e-8] = 1.0
-    xb = np.concatenate([(x - mu) / sd, np.ones((x.shape[0], 1))], axis=1)
+    xb, *test_xb = _design_matrices(x, *(v.embeddings for v in test))
     gram = xb.T @ xb + ridge_lambda * np.eye(xb.shape[1])
     w = np.linalg.solve(gram, xb.T @ y)
 
     scores = []
     skipped = 0
-    for v in test:
+    for v, xb_v in zip(test, test_xb):
         target = v.progression.astype(np.float64)
         ss_tot = float(((target - target.mean()) ** 2).sum())
         if ss_tot == 0.0:
             skipped += 1
             continue
-        xv = (v.embeddings.astype(np.float64) - mu) / sd
-        xb_v = np.concatenate([xv, np.ones((len(target), 1))], axis=1)
         scores.append(r_squared(target, xb_v @ w))
     if skipped:
         log.warning("progression: excluded %d zero-variance videos", skipped)
@@ -382,12 +427,12 @@ def retrieval_ap_at_k(videos: list[EmbeddedVideo], distances: DistanceTable,
 
 
 def evaluate_model(train: list[EmbeddedVideo], test: list[EmbeddedVideo],
-                   probe_epochs: int, probe_lr: float, ridge_lambda: float) -> dict[str, float]:
+                   ridge_lambda: float) -> dict[str, float]:
     # the progression regression's float64 gram rounds per BLAS thread count
     with _one_blas_thread():
         distances = distance_table(test)
         return {
-            "classification": linear_probe_classification(train, test, probe_epochs, probe_lr),
+            "classification": linear_probe_classification(train, test),
             "progression": phase_progression_r2(train, test, ridge_lambda),
             "tau": dataset_tau(distances),
             "retrieval_ap5": retrieval_ap_at_k(test, distances, k=5),

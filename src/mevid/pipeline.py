@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .evaluate import _one_blas_thread, embed_dataset, evaluate_model
+from .evaluate import embed_dataset, evaluate_model
 from .features import VideoFeatures, generate_synthetic_dataset, select_layers
 from .model import Model, load_checkpoint_bytes, save_checkpoint_bytes
 from .training import TrainResult, train
@@ -38,14 +38,11 @@ def dataset_from_config(config: RunConfig) -> tuple[list[VideoFeatures], dict[st
 
 def train_model(config: RunConfig, videos: list[VideoFeatures],
                 split_of: dict[str, str], seed: int | None = None) -> TrainResult:
-    """Train on the train split with OpenBLAS on one thread: the step's
-    products are too small to gain from more, and concurrent trainings
-    over a multithreaded OpenBLAS oversubscribe the CPUs."""
+    """Train on the train split."""
     if seed is not None:
         config = replace(config, seed=seed)
     train_videos = [v for v in videos if split_of[v.video_id] == "train"]
-    with _one_blas_thread():
-        return train(train_videos, config.model_config(), config.train_config())
+    return train(train_videos, config.model_config(), config.train_config())
 
 
 def evaluate_trained(config: RunConfig, model: Model, videos: list[VideoFeatures],
@@ -55,8 +52,7 @@ def evaluate_trained(config: RunConfig, model: Model, videos: list[VideoFeatures
     train = [v for v in videos if split_of[v.video_id] == "train"]
     test = [v for v in videos if split_of[v.video_id] == "test"]
     embedded = embed_dataset(model, train + test)
-    return evaluate_model(embedded[:len(train)], embedded[len(train):], config.probe_epochs,
-                          config.probe_lr, config.ridge_lambda)
+    return evaluate_model(embedded[:len(train)], embedded[len(train):], config.ridge_lambda)
 
 
 # ---------------------------------------------------------------------------

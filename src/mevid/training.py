@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .evaluate import _keep_heap_resident
+from .evaluate import _keep_heap_resident, _one_blas_thread
 from .features import VideoFeatures
 from .model import Model, ModelConfig
 from .tensor import Parameter, Tape, Tensor
@@ -189,7 +189,10 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
     """Sample views, pool, fuse, project, and optimize the contrastive loss.
 
     Backbone features are read-only throughout; only model parameters
-    receive updates.
+    receive updates. The steps run with every loaded OpenBLAS on one
+    thread (`_one_blas_thread`): their products are too small to gain from
+    more, and concurrent trainings over a multithreaded OpenBLAS
+    oversubscribe the CPUs.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -200,28 +203,29 @@ def train(dataset: list[VideoFeatures], model_config: ModelConfig,
     state = AdamState(params)
 
     trace: list[float] = []
-    while len(trace) < config.max_steps:
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(order), config.batch):
-            if len(trace) == config.max_steps:
-                break
-            batch = [dataset[i] for i in order[start:start + config.batch]]
-            seeds = [int(rng.integers(2 ** 63)) for _ in batch]
+    with _one_blas_thread():
+        while len(trace) < config.max_steps:
+            order = rng.permutation(len(dataset))
+            for start in range(0, len(order), config.batch):
+                if len(trace) == config.max_steps:
+                    break
+                batch = [dataset[i] for i in order[start:start + config.batch]]
+                seeds = [int(rng.integers(2 ** 63)) for _ in batch]
 
-            with Tape() as tape:
-                loss = _step_loss(model, batch, seeds, config)
+                with Tape() as tape:
+                    loss = _step_loss(model, batch, seeds, config)
 
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"non-finite loss {value} at step {len(trace)}")
-            model.zero_grads()
-            tape.backward(loss)
-            bad = next((name for name, p in params.items()
-                        if not np.isfinite(p.grad).all()), None)
-            if bad is not None:
-                raise TrainingDiverged(f"non-finite gradient of {bad} at step {len(trace)}")
-            adam_step(params, state, config)
-            trace.append(value)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise TrainingDiverged(f"non-finite loss {value} at step {len(trace)}")
+                model.zero_grads()
+                tape.backward(loss)
+                bad = next((name for name, p in params.items()
+                            if not np.isfinite(p.grad).all()), None)
+                if bad is not None:
+                    raise TrainingDiverged(f"non-finite gradient of {bad} at step {len(trace)}")
+                adam_step(params, state, config)
+                trace.append(value)
     return TrainResult(model=model, loss_trace=trace)
 
 

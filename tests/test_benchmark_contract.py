@@ -86,7 +86,7 @@ def test_tracer_survives_threaded_embedding(monkeypatch):
     run = _load_run(monkeypatch)
     config = RunConfig(videos=6, frames=10, grid=3, channels=8, phases=2, layers=2,
                        patch=1, layer_select=(0, 1), entities=2, query_dim=8, value_dim=8,
-                       model_dim=16, heads=2, mlp_ratio=2, blocks=2, probe_epochs=20)
+                       model_dim=16, heads=2, mlp_ratio=2, blocks=2)
     videos, split_of = pipeline.dataset_from_config(config)
     model = Model(config.model_config(), np.random.default_rng(1))
 

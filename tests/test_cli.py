@@ -29,7 +29,6 @@ proj_dim = 16
 view_len = 4
 max_steps = 4
 batch = 2
-probe_epochs = 50
 """
 
 

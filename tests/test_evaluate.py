@@ -36,7 +36,7 @@ class TestLinearProbe:
     def test_separable_clusters_reach_full_accuracy(self):
         rng = np.random.default_rng(0)
         train, test = cluster_dataset(rng), cluster_dataset(rng)
-        acc = ev.linear_probe_classification(train, test, epochs=200, lr=1.0)
+        acc = ev.linear_probe_classification(train, test)
         assert acc == 1.0
 
     def test_shuffled_labels_hit_chance(self):
@@ -48,14 +48,14 @@ class TestLinearProbe:
             rng.shuffle(labels)
             train = [make_video(emb[:120], labels[:120])]
             test = [make_video(emb[120:], labels[120:])]
-            accs.append(ev.linear_probe_classification(train, test, epochs=100, lr=0.5))
+            accs.append(ev.linear_probe_classification(train, test))
         assert abs(np.mean(accs) - 0.25) <= 0.15
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         train, test = cluster_dataset(rng), cluster_dataset(rng)
-        a = ev.linear_probe_classification(train, test, epochs=500, lr=1.0)
-        b = ev.linear_probe_classification(train, test, epochs=500, lr=1.0)
+        a = ev.linear_probe_classification(train, test)
+        b = ev.linear_probe_classification(train, test)
         assert a == b
 
     def test_single_class_rejected(self):
@@ -63,19 +63,18 @@ class TestLinearProbe:
         train = [make_video(rng.standard_normal((10, 4)), np.zeros(10, int))]
         test = [make_video(rng.standard_normal((4, 4)), np.zeros(4, int))]
         with pytest.raises(ValueError, match="single class"):
-            ev.linear_probe_classification(train, test, epochs=500, lr=1.0)
+            ev.linear_probe_classification(train, test)
 
     def test_coordinate_permutation_invariance(self):
         rng = np.random.default_rng(3)
         train, test = cluster_dataset(rng), cluster_dataset(rng)
-        base = ev.linear_probe_classification(train, test, epochs=50, lr=0.5)
+        base = ev.linear_probe_classification(train, test)
         perm = rng.permutation(6)
 
         def permuted(videos):
             return [make_video(v.embeddings[:, perm], v.labels) for v in videos]
 
-        assert ev.linear_probe_classification(permuted(train), permuted(test),
-                                              epochs=50, lr=0.5) == base
+        assert ev.linear_probe_classification(permuted(train), permuted(test)) == base
 
     def test_classes_are_the_distinct_train_labels(self):
         # MVFF labels are unbounded u32; sizing the class axis by the
@@ -87,14 +86,75 @@ class TestLinearProbe:
             return [make_video(v.embeddings, [mapping[int(l)] for l in v.labels])
                     for v in videos]
 
-        base = ev.linear_probe_classification(train, test, epochs=50, lr=0.5)
+        base = ev.linear_probe_classification(train, test)
         assert base == 1.0
         big = {0: 3, 1: 4_000_000_000}
-        assert ev.linear_probe_classification(relabelled(train, big), relabelled(test, big),
-                                              epochs=50, lr=0.5) == base
+        assert ev.linear_probe_classification(relabelled(train, big), relabelled(test, big)) == base
         # a test label never seen in train counts as wrong
         unseen = [test[0], make_video(test[1].embeddings, test[1].labels + 5)]
-        assert ev.linear_probe_classification(train, unseen, epochs=50, lr=0.5) == 0.5
+        assert ev.linear_probe_classification(train, unseen) == 0.5
+
+
+def fixed_epoch_probe(x, y, classes, epochs=500, lr=1.0):
+    """The probe before it was fit to its optimum: full-batch gradient
+    descent on unregularized softmax cross-entropy from zero, for a fixed
+    number of epochs."""
+    n = x.shape[0]
+    xb = np.concatenate([x, np.ones((n, 1), dtype=x.dtype)], axis=1)
+    w = np.zeros((xb.shape[1], classes), dtype=np.float64)
+    onehot = np.zeros((n, classes))
+    onehot[np.arange(n), y] = 1.0
+    xb64 = xb.astype(np.float64)
+    for _ in range(epochs):
+        logits = xb64 @ w
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        w -= lr * (xb64.T @ (p - onehot)) / n
+    return w
+
+
+def probe_objective(w, xb, y):
+    """Mean softmax cross-entropy plus PROBE_L2 / 2 * ||W||^2, and its
+    gradient, written out independently of the solver."""
+    logits = xb @ w
+    top = logits.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
+    p = np.exp(logits - lse[:, None])
+    p[np.arange(len(y)), y] -= 1.0
+    value = np.mean(lse - logits[np.arange(len(y)), y]) + 0.5 * ev.PROBE_L2 * np.sum(w * w)
+    return value, xb.T @ p / len(y) + ev.PROBE_L2 * w
+
+
+class TestProbeOptimum:
+    def overlapping_classes(self):
+        # three overlapping Gaussian classes
+        rng = np.random.default_rng(21)
+        y = np.repeat(np.arange(3), 60)
+        x = rng.standard_normal((180, 6)) + 0.8 * np.eye(6)[y]
+        xb, = ev._design_matrices(x)
+        return xb, y
+
+    def test_fit_reaches_the_optimum_the_fixed_loop_misses(self, caplog):
+        xb, y = self.overlapping_classes()
+        with caplog.at_level("WARNING", logger=ev.log.name):
+            w = ev._fit_softmax_probe(xb, y, 3)
+        assert caplog.text == ""
+        reference = fixed_epoch_probe(xb[:, :-1], y, 3)
+        value, grad = probe_objective(w, xb, y)
+        ref_value, ref_grad = probe_objective(reference, xb, y)
+        assert np.abs(grad).max() <= ev.PROBE_GTOL
+        assert value <= ref_value
+        # the 500-epoch loop stops short of the regularized optimum
+        assert np.abs(ref_grad).max() > ev.PROBE_GTOL
+
+    def test_cap_logs_a_warning(self, monkeypatch, caplog):
+        xb, y = self.overlapping_classes()
+        monkeypatch.setattr(ev, "_PROBE_MAX_ITER", 1)
+        with caplog.at_level("WARNING", logger=ev.log.name):
+            w = ev._fit_softmax_probe(xb, y, 3)
+        assert "classification: the probe stopped" in caplog.text
+        assert np.abs(probe_objective(w, xb, y)[1]).max() > ev.PROBE_GTOL
 
 
 class TestRSquared:
@@ -134,6 +194,26 @@ class TestRSquared:
             score = ev.phase_progression_r2(train, [good, flat], ridge_lambda=1e-4)
         assert np.isfinite(score)
         assert "zero-variance" in caplog.text
+
+    def test_progression_matches_its_inline_design_bitwise(self):
+        # the regression's design as it was written before the probes
+        # shared `_design_matrices`
+        rng = np.random.default_rng(6)
+        train = [make_video(rng.standard_normal((12, 5)), np.zeros(12, int),
+                            rng.uniform(0, 1, 12)) for _ in range(3)]
+        test = [make_video(rng.standard_normal((9, 5)), np.zeros(9, int),
+                           rng.uniform(0, 1, 9)) for _ in range(2)]
+        x = np.concatenate([v.embeddings for v in train]).astype(np.float64)
+        y = np.concatenate([v.progression for v in train]).astype(np.float64)
+        mu, sd = x.mean(axis=0), x.std(axis=0)
+        xb = np.concatenate([(x - mu) / sd, np.ones((x.shape[0], 1))], axis=1)
+        w = np.linalg.solve(xb.T @ xb + 1e-4 * np.eye(xb.shape[1]), xb.T @ y)
+        scores = []
+        for v in test:
+            xv = (v.embeddings.astype(np.float64) - mu) / sd
+            xb_v = np.concatenate([xv, np.ones((len(xv), 1))], axis=1)
+            scores.append(ev.r_squared(v.progression, xb_v @ w))
+        assert ev.phase_progression_r2(train, test, ridge_lambda=1e-4) == float(np.mean(scores))
 
 
 def tau_oracle(assignment):
@@ -544,8 +624,7 @@ def test_metrics_do_not_depend_on_the_openblas_thread_count():
         for count in (1, 2):
             for _, set_ in controls:
                 set_(count)
-            results.append(ev.evaluate_model(train, test, probe_epochs=20, probe_lr=1.0,
-                                             ridge_lambda=1e-4))
+            results.append(ev.evaluate_model(train, test, ridge_lambda=1e-4))
     finally:
         for (_, set_), count in zip(controls, before):
             set_(count)

@@ -12,7 +12,7 @@ import pytest
 
 import mevid
 from mevid import evaluate as ev
-from mevid import pipeline
+from mevid import pipeline, training
 from mevid.config import RunConfig
 from mevid.model import Model, save_checkpoint_bytes
 
@@ -63,6 +63,8 @@ def test_train_pins_the_heap_in_a_fresh_process():
 
 
 def test_training_calls_a_one_thread_openblas_and_restores_it(monkeypatch):
+    # `training.train` pins BLAS itself, so a library caller that skips
+    # `pipeline` gets the pin too
     controls = ev._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process")
@@ -70,16 +72,19 @@ def test_training_calls_a_one_thread_openblas_and_restores_it(monkeypatch):
     config = RunConfig(videos=4, max_steps=1)
     videos, split_of = pipeline.dataset_from_config(config)
     seen = []
+    adam_step = training.adam_step
 
     def spy(*args):
         seen.append([get() for get, _ in controls])
+        adam_step(*args)
 
-    monkeypatch.setattr(pipeline, "train", spy)
+    monkeypatch.setattr(training, "adam_step", spy)
     try:
         for _, set_ in controls:
             set_(2)
         pipeline.train_model(config, videos, split_of)
-        assert seen == [[1] * len(controls)]
+        training.train(videos, config.model_config(), config.train_config())
+        assert seen == [[1] * len(controls)] * 2
         assert [get() for get, _ in controls] == [2] * len(controls)
     finally:
         for (_, set_), count in zip(controls, before):

@@ -310,7 +310,7 @@ class TestTrainLoop:
                 "layers = 2\npatch = 2\nlayer_select = 0,1\nquery_dim = 8\n"
                 "value_dim = 8\nmodel_dim = 16\nheads = 2\nmlp_ratio = 2\n"
                 "proj_hidden = 16\nproj_dim = 16\nview_len = 4\nmax_steps = 4\n"
-                f"batch = 2\nprobe_epochs = 50\narch = fixed_width\nentities = {splits}\n")
+                f"batch = 2\narch = fixed_width\nentities = {splits}\n")
             videos, split_of = dataset_from_config(config)
             outcome = run_trials(config, [1], videos, split_of)[0]
             assert len(outcome.loss_trace) == 4
