@@ -108,6 +108,12 @@ def _read_manifest(data_dir: str) -> list[dict]:
 
 def _load_entry(data_dir: str, entry: dict, config: RunConfig):
     video = load_mvff(os.path.join(data_dir, entry["file"]), video_id=entry["id"])
+    if config.layer_select[-1] >= video.num_layers:
+        raise UsageError(f"layer_select = {','.join(map(str, config.layer_select))} names a "
+                         f"layer past the {video.num_layers} of video {video.video_id!r}")
+    if video.channels != config.channels:
+        raise UsageError(f"channels = {config.channels}, but video {video.video_id!r} "
+                         f"has {video.channels} channels")
     return select_layers(video, list(config.layer_select))
 
 
@@ -148,6 +154,12 @@ def _cmd_train(args, config: RunConfig) -> int:
     train_videos = [v for v in videos if split_of[v.video_id] == "train"]
     if not train_videos:
         raise UsageError(f"{args.data} lists no train video")
+    grid = train_videos[0].num_tokens
+    odd = next((v for v in train_videos if v.num_tokens != grid), None)
+    if odd is not None:
+        raise UsageError(f"train videos must share one token grid: video {odd.video_id!r} has "
+                         f"{odd.num_tokens} tokens per frame, {train_videos[0].video_id!r} "
+                         f"{grid}")
     shortest = min(train_videos, key=lambda v: v.num_frames)
     if shortest.num_frames < config.view_len:
         raise UsageError(f"view_len {config.view_len} exceeds the {shortest.num_frames} "

@@ -92,13 +92,13 @@ def sinusoidal_encoding(timestamps: np.ndarray, dim: int, dtype=np.float32) -> n
 
 
 def build_frame_tokens(tokens: Tensor, config: ModelConfig) -> Tensor:
-    """Tag [B, T*E, d_model] frame-major entity tokens, E = `config.entities`,
-    with one-hot IDs and add the frame position code.
+    """Add the frame position code to [B, T*E, d_model] frame-major entity
+    tokens, E = `config.entities`, and tag them with one-hot IDs.
 
-    token(t, e) = concat(feature(t, e), onehot(e)) + pos(t), with the
-    position code shared by a frame's entities and zero on the E ID
-    coordinates. The code sees each sequence's own frame indices 0..T-1:
-    a sampled view in training, the whole video in evaluation. A code that
+    token(t, e) = concat(feature(t, e) + pos(t), onehot(e)), with the
+    position code shared by a frame's entities. The code sees each
+    sequence's own frame indices 0..T-1: a sampled view in training, the
+    whole video in evaluation. A code that
     named the source frame would let the model fit the contrastive targets
     from position alone, with no pressure to read the frame content.
     Positions are rescaled so the last frame sits at `POS_RANGE`;
@@ -111,14 +111,12 @@ def build_frame_tokens(tokens: Tensor, config: ModelConfig) -> Tensor:
         raise ValueError(f"{n} tokens are not whole frames of E={e} entities")
     t = n // e
 
-    ids = np.broadcast_to(np.tile(np.eye(e, dtype=dtype), (t, 1)), (b, n, e))
-    tagged = T.concat([tokens, Tensor(ids, dtype=dtype)], axis=2)
-
     positions = np.arange(t, dtype=np.float64) * (POS_RANGE / max(t - 1, 1.0))
     pos = config.pos_scale * sinusoidal_encoding(positions, config.model_dim, dtype)
-    padded = np.zeros((b, n, config.token_dim), dtype=dtype)
-    padded[:, :, : config.model_dim] = np.repeat(pos, e, axis=0)
-    return T.add(tagged, Tensor(padded, dtype=dtype))
+    placed = T.add(tokens, Tensor(np.broadcast_to(np.repeat(pos, e, axis=0), tokens.shape),
+                                  dtype=dtype))
+    ids = np.broadcast_to(np.tile(np.eye(e, dtype=dtype), (t, 1)), (b, n, e))
+    return T.concat([placed, Tensor(ids, dtype=dtype)], axis=2)
 
 
 def _attention(x: Tensor, params: dict[str, Parameter], pre: str, heads: int,
@@ -137,10 +135,10 @@ def fuse_tokens(tokens: Tensor, config: ModelConfig, params: dict[str, Parameter
     """Run the pre-norm fusion transformer over [B, N, token_dim] tokens,
     each sequence attending within itself, and return [B, N, model_dim].
 
-    With `rows` (indices into N), return only those rows of every
-    sequence, [B, len(rows), model_dim], equal to the full output's rows
-    up to float32 rounding: past its keys and values, the last block
-    computes nothing else."""
+    With `rows` (strictly increasing indices into N), return only those
+    rows of every sequence, [B, len(rows), model_dim], equal to the full
+    output's rows up to float32 rounding: past its keys and values, the
+    last block computes nothing else."""
     if tokens.ndim != 3 or tokens.shape[2] != config.token_dim:
         raise ValueError(
             f"tokens of shape {tokens.shape} are not [B, N, {config.token_dim}]"
@@ -178,10 +176,9 @@ def pool_output(outputs: Tensor, num_entities: int, mode: str) -> Tensor:
     rows = read_rows(n, num_entities, mode)
     if rows is not None:
         return T.take_rows(outputs, rows)
-    e, t = num_entities, n // num_entities
-    mean_w = Tensor(np.full((1, e), 1.0 / e), dtype=outputs.dtype)
-    grouped = T.reshape(outputs, (b * t, e, d))
-    return T.reshape(T.matmul(mean_w, grouped), (b, t, d))
+    e = num_entities
+    mean_w = Tensor(np.tile(np.eye(d) / e, (e, 1)), dtype=outputs.dtype)  # [E*d, d]
+    return T.matmul(T.reshape(outputs, (b, n // e, e * d)), mean_w)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,8 @@ def _vector_grad(g: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
-    """Matrix product; supports 2-D, batched 3-D, and 2-D/3-D mixes.
+    """Matrix product of 2-D operands, batched 3-D ones, or a 3-D activation
+    and a 2-D weight; a 2-D operand left of a 3-D one is rejected.
 
     With `high_precision` the contraction runs in float64 and rounds back,
     which keeps attention mixes stable under reorderings of the summed axis.
@@ -187,8 +188,9 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
     """
     _same_dtype(a, b)
     ashape, bshape = a.data.shape, b.data.shape
-    if a.ndim < 2 or b.ndim < 2 or a.ndim > 3 or b.ndim > 3:
-        raise ShapeError(f"matmul needs 2-D or 3-D operands, got {ashape} x {bshape}")
+    if not 2 <= b.ndim <= a.ndim <= 3:
+        raise ShapeError(f"matmul needs 2-D or 3-D operands, the left one of no lower "
+                         f"rank, got {ashape} x {bshape}")
     if ashape[-1] != bshape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {ashape} x {bshape}")
     if a.ndim == 3 and b.ndim == 3 and ashape[0] != bshape[0]:
@@ -213,8 +215,6 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
             da = g @ np.swapaxes(b_arr, -1, -2)
             if rows_merged:
                 da = da.reshape(ashape)
-            elif da.ndim > a_arr.ndim:
-                da = da.sum(axis=0)
         if b.requires_grad:
             db = np.swapaxes(a_arr, -1, -2) @ g
         return da, db
@@ -245,24 +245,22 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows (the second-to-last axis) by index, in every leading slice.
-
-    The backward assigns the gradient rows when the indices are distinct
-    and accumulates them with `np.add.at` only when one repeats."""
+    """Gather rows (the second-to-last axis) by strictly increasing in-range
+    indices, in every leading slice; the backward assigns the gradient rows."""
     if x.ndim not in (2, 3):
         raise ShapeError(f"take_rows needs a 2-D or 3-D tensor, got shape {x.data.shape}")
     idx = np.asarray(indices, dtype=np.int64)
+    xshape = x.data.shape
+    if (idx.ndim != 1 or not idx.size or idx[0] < 0 or idx[-1] >= xshape[-2]
+            or (np.diff(idx) <= 0).any()):
+        raise ShapeError(f"take_rows needs strictly increasing rows of 0..{xshape[-2] - 1}, "
+                         f"got {idx.tolist()}")
     rows = (Ellipsis, idx, slice(None))
     data = x.data[rows]
-    xshape = x.data.shape
-    distinct = np.unique(idx % xshape[-2]).size == idx.size
 
     def backward(g):
         dx = np.zeros(xshape, dtype=g.dtype)
-        if distinct:
-            dx[rows] = g
-        else:
-            np.add.at(dx, rows, g)
+        dx[rows] = g
         return (dx,)
 
     return record_op(data, (x,), backward)

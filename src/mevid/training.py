@@ -93,18 +93,6 @@ def gaussian_targets(t_anchor: np.ndarray, t_other: np.ndarray, sigma: float,
     return (w / w.sum(axis=-1, keepdims=True)).astype(dtype)
 
 
-def _directed_kl(z_anchor: Tensor, z_other: Tensor, targets: np.ndarray,
-                 temperature: float) -> Tensor:
-    """KL from `targets` [B, N1, N2] to the predictions, summed over the
-    batch and divided by N1."""
-    cos = T.matmul(T.normalize_rows(z_anchor), T.swap_last(T.normalize_rows(z_other)))
-    log_pred = T.log_softmax(T.scale(cos, 1.0 / temperature), axis=2)
-    g = np.maximum(targets.astype(np.float64), 1e-45)  # log-safe after f32 cast
-    entropy = Tensor((g * np.log(g)).sum(), dtype=z_anchor.dtype)
-    cross = T.sum_all(T.mul(Tensor(targets, dtype=z_anchor.dtype), log_pred))
-    return T.scale(T.sub(entropy, cross), 1.0 / targets.shape[1])
-
-
 def sequence_contrastive_loss(
     z1: Tensor,
     t1: np.ndarray,
@@ -117,16 +105,26 @@ def sequence_contrastive_loss(
     predictions, symmetrized over the two views, averaged over videos.
 
     `z1` [B, N1, d] and `z2` [B, N2, d] hold the two views of B videos,
-    with timestamps `t1` [B, N1] and `t2` [B, N2]. Nonnegative; zero
+    with timestamps `t1` [B, N1] and `t2` [B, N2]. One [B, N1, N2] cosine
+    matrix serves both directions: a softmax along its rows predicts view
+    2 from view 1, along its columns view 1 from view 2, and each
+    direction's KL is divided by its anchor count. Nonnegative; zero
     exactly when predictions equal targets in both directions for every
     video.
     """
     t1, t2 = np.asarray(t1), np.asarray(t2)
     if z1.shape[:2] != t1.shape or z2.shape[:2] != t2.shape or z1.shape[0] != z2.shape[0]:
         raise ValueError("embedding counts do not match timestamp counts")
-    forward = _directed_kl(z1, z2, gaussian_targets(t1, t2, sigma, z1.dtype), temperature)
-    backward = _directed_kl(z2, z1, gaussian_targets(t2, t1, sigma, z1.dtype), temperature)
-    return T.scale(T.add(forward, backward), 0.5 / z1.shape[0])
+    cos = T.matmul(T.normalize_rows(z1), T.swap_last(T.normalize_rows(z2)))
+    logits = T.scale(cos, 1.0 / temperature)
+    entropy, cross = 0.0, []
+    for axis, g in ((2, gaussian_targets(t1, t2, sigma, np.float64)),
+                    (1, np.swapaxes(gaussian_targets(t2, t1, sigma, np.float64), 1, 2))):
+        w = g / g.shape[3 - axis]    # over the anchor count: N1 along rows, N2 along columns
+        entropy += float((w * np.log(g)).sum())
+        cross.append(T.sum_all(T.mul(Tensor(w, dtype=z1.dtype), T.log_softmax(logits, axis))))
+    kl = T.sub(Tensor(entropy, dtype=z1.dtype), T.add(*cross))
+    return T.scale(kl, 0.5 / z1.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +231,19 @@ def _step_loss(model: Model, batch: list[VideoFeatures], seeds: list[int],
                config: TrainConfig) -> Tensor:
     """The batch's mean contrastive loss, from one forward over its 2·B views.
 
-    Views are stacked video by video (video 0 view 1, video 0 view 2,
-    video 1 view 1, ...). The step agrees with forwarding each view alone
-    and averaging one loss per video to float32 rounding, not bit for bit
-    (see the sequence axis in `tensor`).
+    Views are stacked view-major: every video's first view, then every
+    video's second view, so each view set is one slice of the batch. The
+    step agrees with forwarding each view alone and averaging one loss per
+    video to float32 rounding, not bit for bit (see the sequence axis in
+    `tensor`).
     """
     views = [sample_two_views(video, config.view_len, seed)
              for video, seed in zip(batch, seeds)]
-    picks = [(video, idx) for video, pair in zip(batch, views) for idx in pair]
+    t1, t2 = (np.stack(idx) for idx in zip(*views))
+    picks = [(video, idx) for t in (t1, t2) for video, idx in zip(batch, t)]
     layers = [np.stack([video.layers[l][idx] for video, idx in picks])
               for l in range(len(batch[0].layers))]
     z = model.project(model.embed_frames(layers))    # [2B, N, d]
-    b, n, d = len(batch), config.view_len, z.shape[2]
-    pairs = T.reshape(z, (b, 2, n, d))
-    z1, z2 = (T.reshape(T.narrow(pairs, 1, i, 1), (b, n, d)) for i in (0, 1))
-    return sequence_contrastive_loss(
-        z1, np.stack([idx1 for idx1, _ in views]),
-        z2, np.stack([idx2 for _, idx2 in views]),
-        config.scl_sigma, config.scl_temperature)
+    b = len(batch)
+    return sequence_contrastive_loss(T.narrow(z, 0, 0, b), t1, T.narrow(z, 0, b, b), t2,
+                                     config.scl_sigma, config.scl_temperature)

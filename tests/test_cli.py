@@ -232,6 +232,54 @@ class TestPipelineCommands:
                      "--out", str(tmp_path / "m.mvck")]) == 1
         assert "no train video" in capsys.readouterr().err
 
+    def test_channels_other_than_the_data_exit_one_naming_key_and_video(
+            self, tmp_path, capsys, small_config, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
+        other = tmp_path / "six.cfg"
+        other.write_text(SMALL_CFG.replace("channels = 8", "channels = 6"))
+        monkeypatch.setattr("mevid.pipeline.train_model", None)
+        for argv in (["train", "--out", str(tmp_path / "m.mvck")],
+                     ["eval", str(tmp_path / "none.mvck")]):
+            capsys.readouterr()
+            assert main(argv + ["--config", str(other), "--data", str(data)]) == 1
+            err = capsys.readouterr().err
+            assert "channels = 6, but video 'vid0000' has 8 channels" in err
+            assert "No such file" not in err
+
+    def test_layer_select_past_the_data_layers_exit_one_naming_key_and_video(
+            self, tmp_path, capsys, small_config, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
+        other = tmp_path / "three.cfg"
+        other.write_text(SMALL_CFG.replace("layers = 2", "layers = 3")
+                         .replace("layer_select = 0,1", "layer_select = 0,2"))
+        monkeypatch.setattr("mevid.pipeline.train_model", None)
+        capsys.readouterr()
+        assert main(["train", "--config", str(other), "--data", str(data),
+                     "--out", str(tmp_path / "m.mvck")]) == 1
+        assert ("layer_select = 0,2 names a layer past the 2 of video 'vid0000'"
+                in capsys.readouterr().err)
+
+    def test_train_videos_of_two_token_grids_exit_one_naming_the_video(
+            self, tmp_path, capsys, small_config, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_config, "--out", str(data)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        first, second = [e for e in manifest["videos"] if e["split"] == "train"][:2]
+        video = load_mvff(data / second["file"], video_id=second["id"])
+        write_mvff(VideoFeatures(video_id=video.video_id,
+                                 layers=[l[:, :9] for l in video.layers],
+                                 labels=video.labels, progression=video.progression),
+                   data / second["file"])
+        monkeypatch.setattr("mevid.pipeline.train_model", None)
+        capsys.readouterr()
+        assert main(["train", "--config", small_config, "--data", str(data),
+                     "--out", str(tmp_path / "m.mvck")]) == 1
+        err = capsys.readouterr().err
+        assert "one token grid" in err
+        assert f"{second['id']!r} has 9 tokens per frame, {first['id']!r} 16" in err
+
     def _rewrite_first(self, data, split, frames=None, labeled=True):
         """Rewrite the manifest's first `split` video, cut to `frames` frames
         and optionally without labels; returns its id."""

@@ -165,7 +165,7 @@ def keys_first_entities(layers, params):
         x = Tensor(layer.reshape(b * t, s, d))
         k = T.matmul(x, params[pre + "key_proj"])
         v = T.matmul(x, params[pre + "value_proj"])
-        scores = T.matmul(params[pre + "queries"], T.swap_last(k))
+        scores = T.swap_last(T.matmul(k, T.swap_last(params[pre + "queries"])))
         weights = T.softmax(T.scale(scores, score_scale), axis=-1)
         per_layer.append(T.matmul(weights, v, high_precision=True))
         maps.append(weights.data)

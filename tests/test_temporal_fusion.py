@@ -47,6 +47,37 @@ class TestBuildFrameTokens:
         assert np.allclose(diff, diff[0], atol=1e-6)  # same shift for all entities
         assert np.allclose(diff[:, CFG.model_dim:], 0.0)
 
+    @pytest.mark.parametrize("pos_scale", [1.0, 0.37])
+    def test_bitwise_equal_to_zero_padded_code(self, pos_scale):
+        # concat(feature + pos, onehot) against concat(feature, onehot) plus
+        # the code zero-padded over the ID coordinates: the same floats, in
+        # the output and in the features' gradient
+        config = dataclasses.replace(CFG, pos_scale=pos_scale)
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((2, 5 * 3, CFG.model_dim)).astype(np.float32)
+        up = rng.standard_normal((2, 5 * 3, CFG.token_dim)).astype(np.float32)
+
+        def padded_formula(tokens, config):
+            b, n, _ = tokens.shape
+            e, t = config.entities, n // config.entities
+            ids = np.broadcast_to(np.tile(np.eye(e, dtype=np.float32), (t, 1)), (b, n, e))
+            tagged = T.concat([tokens, Tensor(ids)], axis=2)
+            positions = np.arange(t, dtype=np.float64) * (tf.POS_RANGE / max(t - 1, 1.0))
+            pos = config.pos_scale * tf.sinusoidal_encoding(positions, config.model_dim)
+            padded = np.zeros((b, n, config.token_dim), dtype=np.float32)
+            padded[:, :, : config.model_dim] = np.repeat(pos, e, axis=0)
+            return T.add(tagged, Tensor(padded))
+
+        def run(build):
+            x = T.Parameter("x", feats)
+            with T.Tape() as tape:
+                out = build(x, config)
+                loss = T.sum_all(T.mul(out, Tensor(up)))
+            tape.backward(loss)
+            return out.data.tobytes(), x.grad.tobytes()
+
+        assert run(tf.build_frame_tokens) == run(padded_formula)
+
     def test_entity_count_mismatch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="E="):
@@ -98,7 +129,7 @@ class TestFusion:
         assert fuse(tokens).shape == (1, t, CFG.model_dim)
         assert np.array_equal(fuse(tokens), fuse(tokens[perm]))
 
-    @pytest.mark.parametrize("e, rows", [(3, [0, 3, 6, 9]), (3, [7, 1]), (1, [0, 1, 2, 3])],
+    @pytest.mark.parametrize("e, rows", [(3, [0, 3, 6, 9]), (3, [1, 7]), (1, [0, 1, 2, 3])],
                              ids=["cls_rows", "any_rows", "e1_every_row"])
     def test_rows_are_rows_of_the_full_output(self, e, rows):
         config = dataclasses.replace(CFG, entities=e)

@@ -26,7 +26,7 @@ GRAD_CASES = [
     "matmul", "softmax", "log_softmax", "layer_norm", "gelu", "add", "sub",
     "mul", "scale", "bias_add", "concat", "narrow", "take_rows", "reshape",
     "swap_last", "normalize_rows", "sum_all", "attention", "matmul_seq",
-    "matmul_seq_left", "matmul_grouped", "matmul_grouped_left", "bias_add_seq",
+    "matmul_grouped", "bias_add_seq",
     "layer_norm_seq", "take_rows_seq", "take_rows_distinct", "normalize_rows_seq",
     "attention_seq",
     "attention_heads", "attention_query_seq",
@@ -79,11 +79,21 @@ class TestMatmul:
 
     def test_batched_and_mixed_rank(self):
         rng = np.random.default_rng(2)
-        a2 = rng.standard_normal((2, 3))
-        b3 = rng.standard_normal((4, 3, 5))
-        out = T.matmul(Tensor(a2), Tensor(b3))
+        a3 = rng.standard_normal((4, 2, 3)).astype(np.float32)
+        b3 = rng.standard_normal((4, 3, 5)).astype(np.float32)
+        b2 = rng.standard_normal((3, 5)).astype(np.float32)
+        assert np.allclose(T.matmul(Tensor(a3), Tensor(b3)).data, a3 @ b3)
+        out = T.matmul(Tensor(a3), Tensor(b2))
         assert out.shape == (4, 2, 5)
-        assert np.allclose(out.data, a2.astype(np.float32) @ b3.astype(np.float32))
+        assert np.allclose(out.data, a3 @ b2)
+
+    @pytest.mark.parametrize("left, right", [((4, 4), (3, 4, 3)), ((4, 4), (9, 4, 1))],
+                             ids=["matmul_seq_left", "matmul_grouped_left"])
+    def test_two_d_left_of_three_d_rejected(self, left, right):
+        # a 2-D operand left of a 3-D one is written as the transpose of a
+        # 3-D activation times a 2-D weight, which is one row-merged gemm
+        with pytest.raises(ShapeError, match="left one of no lower rank"):
+            T.matmul(Tensor(np.ones(left)), Tensor(np.ones(right)))
 
 
 class TestSoftmax:
@@ -397,23 +407,19 @@ class TestGradCheck:
             "bias_add": lambda p: T.bias_add(p["x"], p["b"]),
             "concat": lambda p: T.concat([p["x"], p["x"]], axis=1),
             "narrow": lambda p: T.narrow(p["x"], 1, 1, 2),
-            "take_rows": lambda p: T.take_rows(p["x"], np.array([2, 0, 2])),
+            "take_rows": lambda p: T.take_rows(p["x"], np.array([0, 2])),
             "reshape": lambda p: T.reshape(p["x"], (2, 6)),
             "swap_last": lambda p: T.swap_last(p["x"]),
             "normalize_rows": lambda p: T.normalize_rows(p["x"]),
             "sum_all": lambda p: T.sum_all(T.gelu(p["xs"])),
             "attention": lambda p: T.scaled_dot_attention(p["x"], p["x"], p["x"])[0],
             "matmul_seq": lambda p: T.matmul(p["xs"], p["w"]),
-            "matmul_seq_left": lambda p: T.matmul(p["w"], T.swap_last(p["xs"])),
-            # nine one-row slices in one row-merged gemm; nine one-column
-            # slices, where the 2-D gradient sums nine per-slice partials
+            # nine one-row slices in one row-merged gemm
             "matmul_grouped": lambda p: T.matmul(T.reshape(p["xs"], (9, 1, 4)), p["w"]),
-            "matmul_grouped_left": lambda p: T.matmul(
-                p["w"], T.reshape(p["xs"], (9, 4, 1))),
             "bias_add_seq": lambda p: T.bias_add(p["xs"], p["b"]),
             "layer_norm_seq": lambda p: T.layer_norm(p["xs"], p["b"], p["b"]),
-            "take_rows_seq": lambda p: T.take_rows(p["xs"], np.array([2, 0, 2])),
-            "take_rows_distinct": lambda p: T.take_rows(p["xs"], np.array([-1, 0])),
+            "take_rows_seq": lambda p: T.take_rows(p["xs"], np.array([1, 2])),
+            "take_rows_distinct": lambda p: T.take_rows(p["xs"], np.array([0, 1, 2])),
             "normalize_rows_seq": lambda p: T.normalize_rows(p["xs"]),
             "attention_seq": lambda p: T.scaled_dot_attention(p["xs"], p["xs"], p["xs"])[0],
             "attention_heads": lambda p: T.scaled_dot_attention(
@@ -450,7 +456,10 @@ class TestGradCheck:
         init = rng.standard_normal((2, *shape)).astype(np.float32)
         ops = {
             "matmul": lambda x, p, q: T.matmul(x, p),
-            "matmul_left": lambda x, p, q: T.matmul(p, x),
+            # p x, as the transpose of x^T p^T: a 2-D operand left of a 3-D
+            # one is written this way
+            "matmul_left": lambda x, p, q: T.swap_last(
+                T.matmul(T.swap_last(x), T.swap_last(p))),
             "matmul_grouped": lambda x, p, q: T.matmul(x, p),
             "bias_add": lambda x, p, q: T.bias_add(x, p),
             "layer_norm": lambda x, p, q: T.layer_norm(x, p, q),
@@ -496,13 +505,19 @@ class TestMisc:
                     T.layer_norm(x, g, b)):
             assert np.isfinite(out.data).all()
 
-    @pytest.mark.parametrize("indices", [[4, 0, 2], [2, 0, 2], [3, -2], [-1, 0, 1, 2, 3]],
-                             ids=["distinct", "repeated", "negative_alias", "all_rows"])
+    @pytest.mark.parametrize(
+        "indices", [[0, 2, 4], [2, 0, 2], [3, -2], [0, 1, 2, 3, 4], [3, 5]],
+        ids=["distinct", "repeated", "negative_alias", "all_rows", "past_end"])
     def test_take_rows_backward_scatters_as_add_at(self, indices):
-        # distinct rows get their gradient by assignment, repeats by add.at
+        # strictly increasing rows get their gradient by assignment, which is
+        # add.at's scatter; repeated, unsorted or negative rows are rejected
         rng = np.random.default_rng(12)
         x = Parameter("x", rng.standard_normal((2, 5, 3)))
         g = rng.standard_normal((2, len(indices), 3)).astype(np.float32)
+        if sorted(set(indices)) != indices or not 0 <= indices[0] <= indices[-1] < 5:
+            with pytest.raises(ShapeError, match="strictly increasing"):
+                T.take_rows(x, np.array(indices))
+            return
         with Tape() as tape:
             loss = T.sum_all(T.mul(T.take_rows(x, np.array(indices)), Tensor(g)))
         tape.backward(loss)

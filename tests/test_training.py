@@ -27,6 +27,26 @@ def loss_of_one_video(z1, t1, z2, t2, sigma, tau):
         T.reshape(z2, (1, *z2.shape)), np.asarray(t2)[None], sigma, tau)
 
 
+def directed_kl(z_anchor, z_other, targets, temperature):
+    """One direction of the loss with its own cosine matrix: KL from
+    `targets` [B, N1, N2] to the predictions, summed over the batch and
+    divided by N1."""
+    cos = T.matmul(T.normalize_rows(z_anchor), T.swap_last(T.normalize_rows(z_other)))
+    log_pred = T.log_softmax(T.scale(cos, 1.0 / temperature), axis=2)
+    g = np.maximum(targets.astype(np.float64), 1e-45)  # log-safe after f32 cast
+    entropy = Tensor((g * np.log(g)).sum(), dtype=z_anchor.dtype)
+    cross = T.sum_all(T.mul(Tensor(targets, dtype=z_anchor.dtype), log_pred))
+    return T.scale(T.sub(entropy, cross), 1.0 / targets.shape[1])
+
+
+def two_matrix_loss(z1, t1, z2, t2, sigma, temperature):
+    """Reference: the symmetrized loss from one cosine matrix per direction."""
+    t1, t2 = np.asarray(t1), np.asarray(t2)
+    forward = directed_kl(z1, z2, tr.gaussian_targets(t1, t2, sigma, z1.dtype), temperature)
+    backward = directed_kl(z2, z1, tr.gaussian_targets(t2, t1, sigma, z1.dtype), temperature)
+    return T.scale(T.add(forward, backward), 0.5 / z1.shape[0])
+
+
 def small_train_config(**over):
     base = dict(view_len=4, max_steps=4, batch=2, seed=9)
     base.update(over)
@@ -179,6 +199,27 @@ class TestSequenceContrastiveLoss:
             t2 = np.sort(rng.choice(40, (b, n2)), axis=1)
             want = np.stack([tr.gaussian_targets(a, c, 3.0) for a, c in zip(t1, t2)])
             assert tr.gaussian_targets(t1, t2, 3.0).tobytes() == want.tobytes()
+
+    def test_matches_one_matrix_per_direction(self):
+        # one cosine matrix read along both axes agrees with a matrix per
+        # direction to float32 rounding, in the loss and both input gradients
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            b, n1, n2 = rng.integers(1, 5), rng.integers(2, 9), rng.integers(2, 9)
+            z1 = rng.standard_normal((b, n1, 6)).astype(np.float32)
+            z2 = rng.standard_normal((b, n2, 6)).astype(np.float32)
+            t1 = np.sort(rng.choice(30, (b, n1)), axis=1)
+            t2 = np.sort(rng.choice(30, (b, n2)), axis=1)
+            got, want = [], []
+            for loss_fn, out in ((tr.sequence_contrastive_loss, got), (two_matrix_loss, want)):
+                p1, p2 = Parameter("z1", z1), Parameter("z2", z2)
+                with Tape() as tape:
+                    loss = loss_fn(p1, t1, p2, t2, 2.0, 0.1)
+                tape.backward(loss)
+                out += [np.float32(loss.item()), p1.grad, p2.grad]
+            largest = max(float(np.abs(w).max()) for w in want)
+            gap = max(float(np.abs(a - w).max()) for a, w in zip(got, want))
+            assert gap <= 1e-6 * largest, (b, n1, n2, gap, largest)
 
     def test_view_count_mismatch_rejected(self):
         z = Tensor(np.ones((2, 3, 4), dtype=np.float32))
@@ -449,6 +490,17 @@ class TestPrunedFusion:
                       if any(t is w1 for t in inputs)]
             rows = config.view_len * (1 if i == blocks - 1 else e)
             assert shapes == [(2 * len(batch), rows, model.config.model_dim)], (i, shapes)
+
+
+class TestStepOpCount:
+    def test_default_step_records_at_most_124_ops(self):
+        # a guard on the step's op count: one that adds taped ops updates it
+        model, batch, seeds, config = TestPrunedFusion._setup({})
+        with Tape() as tape:
+            tr._step_loss(model, batch, seeds, config)
+        kinds = [fn.__qualname__.split(".")[0] for _, _, fn in tape._ops]
+        assert len(tape) <= 124
+        assert kinds.count("normalize_rows") == 2
 
 
 class TestTrialAggregation:
